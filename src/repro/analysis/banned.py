@@ -12,6 +12,13 @@
 ``BAN003``
     Mutable default argument (``def f(x=[])``) — the default is shared
     across calls, a classic aliasing bug in long-lived services.
+``BAN004``
+    ``urlopen`` outside ``serve/client.py``, or ``ThreadingHTTPServer``
+    outside ``serve/http.py``.  The service tier has one client
+    transport (it maps every transport failure to a typed
+    ``ServiceError`` and closes the response on every path) and one
+    listener/handler stack (it validates every request body); a second
+    copy of either is how the two tiers drifted apart before.
 """
 
 from __future__ import annotations
@@ -24,10 +31,26 @@ RULES = {
     "BAN001": "bare except: — name the exceptions",
     "BAN002": "pickle.load(s) outside parallel/executor.py",
     "BAN003": "mutable default argument",
+    "BAN004": "urlopen outside serve/client.py / ThreadingHTTPServer outside serve/http.py",
 }
 
-#: The one module allowed to unpickle: the process pool's own plumbing.
-PICKLE_ALLOWED_SUFFIX = "parallel/executor.py"
+# Pickle is how the process pool moves work between our own processes.
+_PICKLE = ("BAN002", "parallel/executor.py",
+           "unpickling untrusted bytes executes arbitrary code; "
+           "the wire protocol is JSON")
+
+#: Calls confined to one module each:
+#: dotted callee (matched on its tail) -> (rule, allowed path suffix, why).
+CONFINED_CALLS = {
+    "pickle.load": _PICKLE,
+    "pickle.loads": _PICKLE,
+    "urlopen": (
+        "BAN004", "serve/client.py",
+        "the service tier has one client transport; go through ServiceClient"),
+    "ThreadingHTTPServer": (
+        "BAN004", "serve/http.py",
+        "the service tier has one listener stack; subclass HttpService"),
+}
 
 _MUTABLE_CTORS = {"list", "dict", "set", "bytearray", "deque", "defaultdict",
                   "Counter", "OrderedDict"}
@@ -52,30 +75,29 @@ EXAMPLES = {
                "payload = json.loads(blob)  # or move into parallel/executor.py"),
     "BAN003": ("def add(item, bucket=[]):\n    bucket.append(item)",
                "def add(item, bucket=None):\n    bucket = [] if bucket is None else bucket"),
+    "BAN004": ("# gateway/router.py\nwith urllib.request.urlopen(node_url + \"/stats\") as resp:\n"
+               "    stats = json.loads(resp.read())",
+               "# gateway/router.py\nstats = ServiceClient(node_url).stats()"),
 }
 
 
-@checker("banned-patterns", scope="file", rules=RULES, examples=EXAMPLES)
+@checker("banned-patterns", scope="file", rules=RULES, version=2,
+         examples=EXAMPLES)
 def check_banned(pf: ParsedFile) -> list[Finding]:
     findings: list[Finding] = []
-    pickle_allowed = pf.path.endswith(PICKLE_ALLOWED_SUFFIX)
     for node in ast.walk(pf.tree):
         if isinstance(node, ast.ExceptHandler) and node.type is None:
             findings.append(pf.finding(
                 "BAN001", node,
                 "bare except: swallows KeyboardInterrupt/SystemExit; "
                 "name the exceptions"))
-        elif (isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Attribute)
-              and node.func.attr in ("loads", "load")
-              and isinstance(node.func.value, ast.Name)
-              and node.func.value.id == "pickle"
-              and not pickle_allowed):
-            findings.append(pf.finding(
-                "BAN002", node,
-                f"pickle.{node.func.attr} outside {PICKLE_ALLOWED_SUFFIX}: "
-                "unpickling untrusted bytes executes arbitrary code; "
-                "the wire protocol is JSON"))
+        elif isinstance(node, ast.Call):
+            callee = ast.unparse(node.func)
+            for name, (rule, allowed, why) in CONFINED_CALLS.items():
+                if ((callee == name or callee.endswith("." + name))
+                        and not pf.path.endswith(allowed)):
+                    findings.append(pf.finding(
+                        rule, node, f"{callee} outside {allowed}: {why}"))
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defaults = list(node.args.defaults) + [
                 d for d in node.args.kw_defaults if d is not None]

@@ -1,17 +1,18 @@
 """Wire-protocol drift checker.
 
-Three copies of the HTTP protocol exist by design — the node server
+Three sides of the HTTP protocol exist by design — the node server
 (``serve/server.py``), the gateway (``gateway/server.py`` +
 ``gateway/router.py``), and the consumers (``serve/client.py``,
 ``serve/agent.py``, the CLI) — plus the report schema in
 ``api/report.py`` that every ``/result`` body carries.  This checker
 extracts each side from the AST and fails when they disagree.
 
-``WIRE001`` — route drift:
-    * every path literal the client requests must be handled by the
+``WIRE001`` — route drift, against the ``ROUTES`` tables the two server
+    modules declare on top of the shared one in ``serve/http.py``:
+    * every path literal the client requests must be declared by the
       node server;
-    * every path the node agent posts must be handled by the gateway;
-    * the gateway mirrors the node's query surface (``do_GET`` route
+    * every path the node agent posts must be declared by the gateway;
+    * the gateway mirrors the node's query surface (``GET`` route
       parity) and both accept ``POST /submit`` — a ``ServiceClient``
       pointed at a gateway must work unchanged.
 ``WIRE002`` — payload field drift:
@@ -45,6 +46,7 @@ RULES = {
 NODE_SERVER = "serve/server.py"
 GATEWAY_SERVER = "gateway/server.py"
 GATEWAY_ROUTER = "gateway/router.py"
+HTTP_BASE = "serve/http.py"
 CLIENT = "serve/client.py"
 AGENT = "serve/agent.py"
 REPORT = "api/report.py"
@@ -68,42 +70,30 @@ def _is_route_literal(value: str) -> bool:
 # route extraction
 
 
-def _handler_routes(pf: ParsedFile) -> dict[str, dict[str, ast.AST]]:
-    """Routes served by ``do_GET``/``do_POST``: method -> {route: node}."""
+def _declared_routes(pf: ParsedFile, base: ParsedFile | None = None,
+                     ) -> dict[str, dict[str, ast.AST]]:
+    """Routes a server module declares: method -> {route: node}.
+
+    Read off its ``ROUTES = {(method, route): "handler"}`` literals; a
+    ``**JsonHandler.ROUTES`` spread pulls in the table of ``base`` (the
+    shared ``serve/http.py``).
+    """
     out: dict[str, dict[str, ast.AST]] = {"GET": {}, "POST": {}}
-    for fn in ast.walk(pf.tree):
-        if not isinstance(fn, ast.FunctionDef) or fn.name not in ("do_GET", "do_POST"):
+    for stmt in ast.walk(pf.tree):
+        if not (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Dict)
+                and any(isinstance(t, ast.Name) and t.id == "ROUTES"
+                        for t in stmt.targets)):
             continue
-        routes = out[fn.name[3:]]
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Compare):
-                # self.path ==/!= "<route>"
-                operands = [node.left] + list(node.comparators)
-                if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-                    for operand in operands:
-                        if (isinstance(operand, ast.Constant)
-                                and isinstance(operand.value, str)
-                                and _is_route_literal(operand.value)):
-                            routes.setdefault(operand.value, node)
-            elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "startswith"):
-                for arg in node.args:
-                    if (isinstance(arg, ast.Constant)
-                            and isinstance(arg.value, str)
-                            and _is_route_literal(arg.value)):
-                        routes.setdefault(arg.value, node)
-            elif isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
-                # for prefix in ("/a/", "/b/")  |  for prefix, h in (("/a/", f),)
-                for elt in node.iter.elts:
-                    candidates = [elt]
-                    if isinstance(elt, ast.Tuple) and elt.elts:
-                        candidates = [elt.elts[0]]
-                    for cand in candidates:
-                        if (isinstance(cand, ast.Constant)
-                                and isinstance(cand.value, str)
-                                and _is_route_literal(cand.value)):
-                            routes.setdefault(cand.value, cand)
+        for key in stmt.value.keys:
+            if key is None and base is not None:
+                for method, routes in _declared_routes(base).items():
+                    out[method].update(routes)
+            elif (isinstance(key, ast.Tuple) and len(key.elts) == 2
+                  and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                          for e in key.elts)):
+                method, route = (e.value for e in key.elts)
+                if method in out and _is_route_literal(route):
+                    out[method][route] = key
     return out
 
 
@@ -152,7 +142,7 @@ def _send_202_dicts(pf: ParsedFile) -> list[tuple[ast.Dict, set[str]]]:
     for node in ast.walk(pf.tree):
         dict_node = None
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_send" and len(node.args) >= 2
+                and node.func.attr == "send_json" and len(node.args) >= 2
                 and isinstance(node.args[0], ast.Constant)
                 and node.args[0].value == 202
                 and isinstance(node.args[1], ast.Dict)):
@@ -209,8 +199,9 @@ def _check_routes(project: Project) -> list[Finding]:
     client_pf = project.find(CLIENT)
     agent_pf = project.find(AGENT)
 
-    node_routes = _handler_routes(node_pf) if node_pf else None
-    gateway_routes = _handler_routes(gateway_pf) if gateway_pf else None
+    base_pf = project.find(HTTP_BASE)
+    node_routes = _declared_routes(node_pf, base_pf) if node_pf else None
+    gateway_routes = _declared_routes(gateway_pf, base_pf) if gateway_pf else None
 
     def handled(routes: dict[str, dict[str, ast.AST]]) -> set[str]:
         return {_norm(r) for method in routes.values() for r in method}

@@ -4,8 +4,6 @@
 ``/result/<id>`` bodies, and :func:`repro.api.execute` all emit the
 dictionaries produced by these classes' :meth:`to_dict`, so a client
 written against one entry point parses the others' results unchanged.
-:mod:`repro.serve.schema` keeps its payload helpers as thin wrappers
-over these builders.
 
 Four shapes, all JSON-ready and parseable back via
 :func:`report_from_dict`:
@@ -38,7 +36,6 @@ __all__ = [
     "StreamReport",
     "DecompressReport",
     "report_from_dict",
-    "cache_section",
     "stage_timings",
 ]
 

@@ -1,10 +1,12 @@
-"""Stdlib HTTP front-end for the gateway tier.
+"""HTTP front-end for the gateway tier.
 
-Same dependency-free :class:`http.server.ThreadingHTTPServer` stack as
-the node-side service — the gateway speaks the *same client protocol*
-(``/submit``, ``/status``, ``/result``, ``/stats``, ``/metrics``,
+Built on the same :mod:`repro.serve.http` wire layer as the node-side
+service — the gateway speaks the *same client protocol* (``/submit``,
+``/status``, ``/result``, ``/trace``, ``/stats``, ``/metrics``,
 ``/health``), so a :class:`~repro.serve.client.ServiceClient` pointed at
-a gateway works unchanged, plus the fleet-facing control plane.
+a gateway works unchanged, plus the fleet-facing control plane.  This
+module is the gateway's ``ROUTES`` table and one short method per
+gateway-specific route.
 
 Client-facing endpoints
 -----------------------
@@ -41,197 +43,96 @@ Fleet-facing endpoints (worker nodes + operators)
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 from repro import __version__
 from repro.gateway.router import NoCapacityError, Router
-from repro.obs.trace import TRACEPARENT_HEADER, TraceContext
 from repro.serve.client import BackpressureError
+from repro.serve.http import HttpService, JsonHandler
 
 __all__ = ["GatewayServer", "DEFAULT_GATEWAY_PORT"]
 
 DEFAULT_GATEWAY_PORT = 8076
 
-#: Gateway bodies are control-plane JSON plus inline arrays on /submit.
-MAX_BODY_BYTES = 256 * 2**20
 
-
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     server_version = "repro-gateway/1"
-    protocol_version = "HTTP/1.1"
+    tier = "gateway"
 
-    router: Router = None  # type: ignore[assignment]
-    verbose: bool = False
+    ROUTES = {
+        **JsonHandler.ROUTES,
+        ("POST", "/submit"): "post_submit",
+        ("GET", "/status/"): "get_status",
+        ("GET", "/result/"): "get_result",
+        ("GET", "/health"): "get_health",
+        ("POST", "/register"): "post_register",
+        ("POST", "/unregister/"): "post_unregister",
+        ("POST", "/heartbeat/"): "post_heartbeat",
+        ("POST", "/admin/drain/"): "post_drain",
+        ("POST", "/admin/undrain/"): "post_undrain",
+    }
 
-    # -- plumbing ----------------------------------------------------------
-    def log_message(self, fmt: str, *args) -> None:  # noqa: A003
-        if self.verbose:  # pragma: no cover - log formatting
-            super().log_message(fmt, *args)
+    backend: Router
 
-    def _send(self, code: int, payload: dict, headers: dict | None = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length > MAX_BODY_BYTES:
-            raise ValueError(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
-        if not raw:
-            return {}
+    # -- client-facing -----------------------------------------------------
+    def post_submit(self) -> None:
         try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    # -- routes ------------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        try:
-            body = self._read_json()
-        except ValueError as exc:
-            self.close_connection = True
-            self._send(400, {"error": str(exc)})
-            return
-        if self.path == "/submit":
-            self._submit(body)
-            return
-        if self.path == "/register":
-            try:
-                payload = self.router.register_node(
-                    str(body.get("node_id", "")), str(body.get("url", "")))
-            except ValueError as exc:
-                self._send(400, {"error": str(exc)})
-                return
-            self._send(200, payload)
-            return
-        for prefix, handler in (
-            ("/heartbeat/", self._heartbeat),
-            ("/unregister/", self._unregister),
-            ("/admin/drain/", self._drain),
-            ("/admin/undrain/", self._undrain),
-        ):
-            if self.path.startswith(prefix):
-                handler(self.path[len(prefix):], body)
-                return
-        self.close_connection = True
-        self._send(404, {"error": f"unknown endpoint {self.path!r}"})
-
-    def _submit(self, body: dict) -> None:
-        context = TraceContext.from_traceparent(
-            self.headers.get(TRACEPARENT_HEADER))
-        try:
-            _, ticket = self.router.submit(body, trace_context=context)
-        except ValueError as exc:
-            self._send(400, {"error": str(exc)})
-            return
+            _, ticket = self.backend.submit(
+                self.json_body(), trace_context=self.trace_context())
         except BackpressureError as exc:
             retry_after = float(exc.body.get("retry_after", 1.0))
-            self._send(429, {"error": str(exc), "retry_after": retry_after},
-                       headers={"Retry-After": f"{retry_after:g}"})
+            self.send_json(429, {"error": str(exc), "retry_after": retry_after},
+                           headers={"Retry-After": f"{retry_after:g}"})
             return
         except NoCapacityError as exc:
-            self._send(503, {"error": str(exc), "retry_after": 1.0},
-                       headers={"Retry-After": "1"})
+            self.send_json(503, {"error": str(exc), "retry_after": 1.0},
+                           headers={"Retry-After": "1"})
             return
-        self._send(202, ticket)
+        self.send_json(202, ticket)
 
-    def _heartbeat(self, node_id: str, body: dict) -> None:
+    def get_status(self, job_id: str) -> None:
+        self.send_found(self.backend.job_status(job_id), "unknown job id")
+
+    def get_result(self, job_id: str) -> None:
+        answer = self.backend.job_result(job_id)
+        if answer is None:
+            self.send_json(404, {"error": "unknown job id"})
+        else:
+            self.send_json(*answer)
+
+    def get_health(self) -> None:
+        counts = self.backend.registry.counts()
+        self.send_json(200, {"status": "ok", "nodes_active": counts["active"],
+                             "version": __version__})
+
+    # -- fleet-facing ------------------------------------------------------
+    def post_register(self) -> None:
+        body = self.json_body()
+        self.send_json(200, self.backend.register_node(
+            str(body.get("node_id", "")), str(body.get("url", ""))))
+
+    def post_heartbeat(self, node_id: str) -> None:
+        body = self.json_body()
         finished = body.get("finished") or []
         if not isinstance(finished, list):
-            self._send(400, {"error": "finished must be a list of job ids"})
+            self.send_json(400, {"error": "finished must be a list of job ids"})
             return
-        payload = self.router.node_heartbeat(
+        payload = self.backend.node_heartbeat(
             node_id, finished=[str(j) for j in finished],
             reported=body.get("stats") if isinstance(body.get("stats"), dict) else None,
         )
-        if payload is None:
-            self._send(404, {"error": f"unknown node {node_id!r}; re-register"})
-            return
-        self._send(200, payload)
+        self.send_found(payload, f"unknown node {node_id!r}; re-register")
 
-    def _unregister(self, node_id: str, body: dict) -> None:
-        payload = self.router.unregister_node(node_id)
-        if payload is None:
-            self._send(404, {"error": f"unknown node {node_id!r}"})
-            return
-        self._send(200, payload)
+    def post_unregister(self, node_id: str) -> None:
+        self.send_found(self.backend.unregister_node(node_id),
+                        f"unknown node {node_id!r}")
 
-    def _drain(self, node_id: str, body: dict) -> None:
-        payload = self.router.drain(node_id)
-        if payload is None:
-            self._send(404, {"error": f"unknown node {node_id!r}"})
-            return
-        self._send(200, payload)
+    def post_drain(self, node_id: str) -> None:
+        self.send_found(self.backend.drain(node_id), f"unknown node {node_id!r}")
 
-    def _undrain(self, node_id: str, body: dict) -> None:
-        payload = self.router.undrain(node_id)
-        if payload is None:
-            self._send(404, {"error": f"unknown node {node_id!r}"})
-            return
-        self._send(200, payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/stats":
-            self._send(200, self.router.stats_payload())
-            return
-        if self.path == "/metrics":
-            if self.router.metrics is None:
-                self._send(404, {"error": "metrics are disabled on this gateway"})
-                return
-            from repro.obs.exposition import CONTENT_TYPE
-
-            data = self.router.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-            return
-        if self.path == "/health":
-            counts = self.router.registry.counts()
-            self._send(200, {"status": "ok", "nodes_active": counts["active"],
-                             "version": __version__})
-            return
-        if self.path.startswith("/trace/"):
-            payload = self.router.trace_payload(self.path[len("/trace/"):])
-            if payload is None:
-                self._send(404, {"error": "unknown job/trace id "
-                                          "(unsampled or evicted traces 404)"})
-            else:
-                self._send(200, payload)
-            return
-        if self.path.startswith("/status/"):
-            payload = self.router.job_status(self.path[len("/status/"):])
-            if payload is None:
-                self._send(404, {"error": "unknown job id"})
-                return
-            self._send(200, payload)
-            return
-        if self.path.startswith("/result/"):
-            answer = self.router.job_result(self.path[len("/result/"):])
-            if answer is None:
-                self._send(404, {"error": "unknown job id"})
-                return
-            code, payload = answer
-            self._send(code, payload)
-            return
-        self._send(404, {"error": f"unknown endpoint {self.path!r}"})
+    def post_undrain(self, node_id: str) -> None:
+        self.send_found(self.backend.undrain(node_id), f"unknown node {node_id!r}")
 
 
-class GatewayServer:
+class GatewayServer(HttpService):
     """Owns one :class:`Router` plus the HTTP listener bound to it.
 
     ``port=0`` binds an ephemeral port (read it back from :attr:`url`).
@@ -255,51 +156,10 @@ class GatewayServer:
         if router is not None and router_kwargs:
             raise ValueError("pass router kwargs or an instance, not both")
         self.router = router or Router(**router_kwargs)
-        handler = type("_BoundHandler", (_Handler,),
-                       {"router": self.router, "verbose": verbose})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._thread: threading.Thread | None = None
+        super().__init__(_Handler, self.router, host, port, verbose)
 
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "GatewayServer":
+    def _start_backend(self) -> None:
         self.router.start()
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever, name="repro-gateway-http",
-                daemon=True)
-            self._thread.start()
-        return self
 
-    def serve_forever(self) -> None:
-        """Blocking variant for the CLI (Ctrl-C to stop)."""
-        self.router.start()
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self.shutdown()
-
-    def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(5.0)
-            self._thread = None
+    def _stop_backend(self) -> None:
         self.router.stop()
-
-    def __enter__(self) -> "GatewayServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

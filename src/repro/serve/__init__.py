@@ -16,7 +16,11 @@ inputs are routed through the out-of-core ``repro.stream`` pipeline.
 A :class:`JobSpec` is the unified
 :class:`~repro.api.request.CompressionRequest` plus scheduling fields,
 so the same request object also drives :func:`repro.api.execute` and the
-CLI.  See ``docs/SERVICE.md`` for the full protocol.
+CLI.  The node server and the gateway share one wire layer,
+:mod:`repro.serve.http` (body reader, JSON writer, dispatch through each
+tier's declared ``ROUTES`` table, listener lifecycle), and the client
+and the node agent one transport.  See ``docs/SERVICE.md`` for the full
+protocol.
 """
 
 from repro.serve.agent import NodeAgent

@@ -29,13 +29,10 @@ evidence flowing.
 
 from __future__ import annotations
 
-import json
 import threading
-import urllib.error
-import urllib.request
 from collections import deque
 
-from repro.serve.client import ProtocolError
+from repro.serve.client import ProtocolError, ServiceClient, ServiceError
 from repro.serve.scheduler import Scheduler
 from repro.util.concurrency import guarded_by
 
@@ -69,14 +66,15 @@ class NodeAgent:
         self.advertise_url = advertise_url.rstrip("/")
         #: ``None`` defers to the gateway's registration response.
         self.heartbeat_interval = heartbeat_interval
-        self.timeout = timeout
+        self._client = ServiceClient(self.gateway_url, timeout=timeout)
         self.registered = False
         self.draining = False
         self.heartbeats_sent = 0
         self.acked_jobs = 0
         self.register_failures = 0
-        #: Gateway responses that broke the protocol (bad field types);
-        #: the agent falls back to safe defaults but keeps count.
+        #: Gateway responses that broke the protocol (a body that is not
+        #: a JSON object, bad field types); the agent retries or falls
+        #: back to safe defaults but keeps count.
         self.protocol_errors = 0
         self._pending: deque[str] = deque()
         self._pending_set: set[str] = set()
@@ -135,7 +133,7 @@ class NodeAgent:
         if self.registered:
             try:
                 self._post(f"/unregister/{self.node_id}", {})
-            except OSError:  # repro: ignore[EXC002]
+            except ServiceError:  # repro: ignore[EXC002]
                 pass  # the death timer handles it
             self.registered = False
 
@@ -155,7 +153,7 @@ class NodeAgent:
         try:
             status, body = self._post(
                 "/register", {"node_id": self.node_id, "url": self.advertise_url})
-        except OSError:
+        except ServiceError:
             self.register_failures += 1
             return min(1.0, self._interval())
         if status != 200:
@@ -181,8 +179,8 @@ class NodeAgent:
             status, body = self._post(
                 f"/heartbeat/{self.node_id}",
                 {"finished": finished, "stats": self._report()})
-        except OSError:
-            return self._interval()  # gateway unreachable: keep trying
+        except ServiceError:
+            return self._interval()  # unreachable or garbled: keep trying
         if status == 404:
             # The gateway restarted (or reaped us as dead and we then
             # unregistered): start over with a fresh registration.
@@ -250,19 +248,11 @@ class NodeAgent:
 
     # -- transport ---------------------------------------------------------
     def _post(self, path: str, body: dict) -> tuple[int, dict]:
-        data = json.dumps(body).encode("utf-8")
-        req = urllib.request.Request(
-            f"{self.gateway_url}{path}", data=data, method="POST",
-            headers={"Content-Type": "application/json"})
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.status, json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                payload = {}
-            return exc.code, payload
+            return self._client._request("POST", path, body)
+        except ProtocolError:
+            self.protocol_errors += 1
+            raise
 
     # -- introspection -----------------------------------------------------
     def status_dict(self) -> dict:

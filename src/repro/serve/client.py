@@ -1,8 +1,9 @@
 """Thin stdlib client for the compression service.
 
 :class:`ServiceClient` speaks the JSON protocol of
-:mod:`repro.serve.server` over ``urllib`` — no dependencies, safe to use
-from scripts, tests, benchmarks and the ``repro submit`` CLI alike.
+:mod:`repro.serve.server` (and of a gateway) over ``urllib`` — no
+dependencies, safe to use from scripts, tests, benchmarks and the
+``repro submit`` CLI alike.
 
 Backpressure is handled here so callers don't have to: a ``429`` from
 ``/submit`` is retried with the server-suggested ``Retry-After`` delay
@@ -72,10 +73,11 @@ class JobFailedError(ServiceError):
 
 
 class ProtocolError(ServiceError):
-    """The server answered with a well-formed HTTP response whose JSON
-    body is missing (or mistypes) a field the protocol requires.
+    """The server answered with a well-formed HTTP response whose body
+    is not a JSON object, or is missing (or mistypes) a field the
+    protocol requires.
 
-    Raised instead of ``KeyError`` so callers can tell "the service
+    Raised instead of ``KeyError``/``JSONDecodeError`` so callers can tell "the service
     broke its contract" apart from their own bugs, and so the offending
     ``body`` travels with the exception.  The ``repro check`` wire-drift
     checker (``WIRE001``/``WIRE002``) guards the same contract at lint
@@ -125,9 +127,30 @@ class ServiceClient:
     ) -> tuple[int, dict, dict]:
         """One round trip returning ``(status, json body, response headers)``.
 
-        Response header names are lowercased; error-status bodies are
-        parsed the same as success bodies (empty dict when not JSON).
+        Response header names are lowercased.  An error-status body that
+        is not a JSON object reads as ``{}`` (the status says enough); a
+        2xx one raises :class:`ProtocolError`, because every caller goes
+        on to read fields off it.
         """
+        status, raw, response_headers = self._round_trip(method, path, body, headers)
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            payload = None
+        if not isinstance(payload, dict):
+            if 200 <= status < 300:
+                raise ProtocolError(
+                    f"{method} {path}: HTTP {status} body is not a JSON object",
+                    status=status)
+            payload = {}
+        return status, payload, response_headers
+
+    def _round_trip(
+        self, method: str, path: str, body: dict | None = None,
+        headers: dict | None = None,
+    ) -> tuple[int, bytes, dict]:
+        """The one place this package opens a URL: ``(status, raw body,
+        lowercased response headers)``, whatever the status."""
         data = json.dumps(body).encode("utf-8") if body is not None else None
         send_headers = dict(headers or {})
         if data is not None:
@@ -136,20 +159,15 @@ class ServiceClient:
             f"{self.url}{path}", data=data, method=method, headers=send_headers,
         )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return (resp.status, json.loads(resp.read().decode("utf-8")),
-                        {k.lower(): v for k, v in resp.headers.items()})
-        except urllib.error.HTTPError as exc:
-            # HTTPError doubles as the (open) response object: close it on
-            # every path or the socket lingers until GC.
             try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                payload = {}
-            finally:
-                exc.close()
-            return (exc.code, payload,
-                    {k.lower(): v for k, v in (exc.headers or {}).items()})
+                resp = urllib.request.urlopen(req, timeout=self.timeout)
+            except urllib.error.HTTPError as exc:
+                # Doubles as the (open) response object: read and closed
+                # below like any other, or the socket lingers until GC.
+                resp = exc
+            with resp:
+                return (resp.status, resp.read(),
+                        {k.lower(): v for k, v in resp.headers.items()})
         except urllib.error.URLError as exc:
             raise ServiceUnavailableError(
                 f"cannot reach {self.url}: {exc.reason}") from exc
@@ -275,8 +293,8 @@ class ServiceClient:
     def result(self, job_id: str, wait: bool = True, timeout: float = 120.0) -> dict:
         """Fetch a job's result, polling until it finishes by default.
 
-        Returns the result payload (the shared schema of
-        :mod:`repro.serve.schema`).  Raises :class:`JobFailedError` if
+        Returns the result payload (a typed report's wire dict, see
+        :mod:`repro.api.report`).  Raises :class:`JobFailedError` if
         the job failed or was cancelled, :class:`JobTimeoutError` (a
         ``TimeoutError``) if it is still pending after ``timeout``
         seconds.
@@ -333,17 +351,10 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """The raw ``GET /metrics`` body (Prometheus text exposition)."""
-        req = urllib.request.Request(f"{self.url}/metrics", method="GET")
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            raise ServiceError(f"/metrics returned HTTP {exc.code}",
-                               status=exc.code) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceUnavailableError(
-                f"cannot reach {self.url}: {exc.reason}") from exc
+        status, raw, _ = self._round_trip("GET", "/metrics")
+        if status != 200:
+            raise ServiceError(f"/metrics returned HTTP {status}", status=status)
+        return raw.decode("utf-8")
 
     def metrics(self) -> dict:
         """``/metrics`` parsed into ``{name: [MetricSample, ...]}``."""

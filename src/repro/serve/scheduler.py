@@ -94,7 +94,6 @@ from repro.parallel.executor import (
     make_executor,
     resolve_workers,
 )
-from repro.serve import schema
 from repro.serve.jobs import Job, JobSpec, JobState
 from repro.serve.queue import JobQueue, QueueFull  # noqa: F401  (re-exported)
 from repro.util.concurrency import guarded_by
@@ -1033,21 +1032,33 @@ class Scheduler:
             return copy.copy(self.stats)
 
     def stats_payload(self) -> dict:
-        """JSON-ready service statistics (the ``/stats`` body)."""
+        """JSON-ready service statistics (the ``/stats`` body).
+
+        The ``executor`` section: ``mode`` is the job-level backend
+        (``"thread"``/``"process"``), ``intra`` the fan-out backend
+        inside one job; ``worker_crashes`` counts attempts lost to a
+        dying worker process, ``pool_rebuilds`` the pool reconstructions
+        those crashes forced, ``discarded_results`` results that
+        completed after their job was cancelled (tombstoned).  The
+        process backend adds its pool's lifetime task-flow block
+        (:meth:`~repro.parallel.executor.ProcessJobPool.task_counts`).
+        """
         with self._lock:
+            executor = {
+                "mode": self.executor_mode,
+                "intra": self.intra_kind,
+                "worker_crashes": self.stats.crashes,
+                "pool_rebuilds": 0,
+                "discarded_results": self.stats.discarded,
+            }
+            if self._pool is not None:
+                executor["pool_rebuilds"] = self._pool.rebuild_count()
+                executor.update(self._pool.task_counts())
             payload = {
                 "uptime_seconds": round(time.monotonic() - self._started_mono, 3),
                 "workers": self.workers,
                 "paused": self.paused,
-                "executor": schema.executor_payload(
-                    mode=self.executor_mode,
-                    intra=self.intra_kind,
-                    crashes=self.stats.crashes,
-                    rebuilds=(self._pool.rebuild_count()
-                              if self._pool is not None else 0),
-                    discarded=self.stats.discarded,
-                    tasks=self._pool.task_counts() if self._pool is not None else None,
-                ),
+                "executor": executor,
                 "queue": self._queue.stats_dict(),
                 "jobs": self.stats.jobs_dict(),
                 "search": self.stats.search_dict(),

@@ -1,9 +1,9 @@
-"""Stdlib JSON/HTTP front-end for the scheduler.
+"""JSON/HTTP front-end for the scheduler.
 
-No web framework — a :class:`http.server.ThreadingHTTPServer` is enough
-for a JSON control plane, keeps the service dependency-free, and its
-thread-per-connection model composes cleanly with the scheduler's own
-worker pool (handlers only ever touch thread-safe scheduler methods).
+The socket plumbing, route dispatch and listener lifecycle live in
+:mod:`repro.serve.http`; this module is the node's ``ROUTES`` table plus
+one short method per node-specific route (handlers only ever touch
+thread-safe scheduler methods).
 
 Endpoints
 ---------
@@ -40,12 +40,8 @@ reports the ``trace_id`` either way).
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 from repro import __version__
-from repro.obs.trace import TRACEPARENT_HEADER, TraceContext
+from repro.serve.http import HttpService, JsonHandler
 from repro.serve.jobs import JobSpec
 from repro.serve.queue import QueueFull
 from repro.serve.scheduler import Scheduler
@@ -54,160 +50,84 @@ __all__ = ["ServiceServer", "DEFAULT_PORT"]
 
 DEFAULT_PORT = 8077
 
-#: Largest accepted request body (inline arrays ride in submits).
-MAX_BODY_BYTES = 256 * 2**20
 
-
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
 
-    # Set by ServiceServer on the server class instance.
-    scheduler: Scheduler = None  # type: ignore[assignment]
+    ROUTES = {
+        **JsonHandler.ROUTES,
+        ("POST", "/submit"): "post_submit",
+        ("POST", "/cancel/"): "post_cancel",
+        ("GET", "/status/"): "get_status",
+        ("GET", "/result/"): "get_result",
+        ("GET", "/health"): "get_health",
+    }
+
+    backend: Scheduler
     agent = None  # NodeAgent when this node registered with a gateway
-    verbose: bool = False
 
-    # -- plumbing ----------------------------------------------------------
-    def log_message(self, fmt: str, *args) -> None:  # noqa: A003
-        if self.verbose:  # pragma: no cover - log formatting
-            super().log_message(fmt, *args)
-
-    def _send(self, code: int, payload: dict, headers: dict | None = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, code: int, body: str, content_type: str) -> None:
-        data = body.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            raise ValueError(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
+    def post_submit(self) -> None:
+        spec = JobSpec.from_dict(self.json_body())
         try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from None
-
-    # -- routes ------------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path.startswith("/cancel/"):
-            # Cancel takes no body, but a keep-alive client may send one
-            # anyway (e.g. curl -d '{}'); drain it so the unread bytes are
-            # not parsed as the next request line.
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            if 0 < length <= 65536:
-                self.rfile.read(length)
-            elif length > 65536:
-                self.close_connection = True
-            job_id = self.path[len("/cancel/"):]
-            job = self.scheduler.get(job_id)
-            if job is None:
-                self._send(404, {"error": "unknown job id"})
-                return
-            cancelled = self.scheduler.cancel(job_id)
-            self._send(200, {
-                "job_id": job_id,
-                "cancelled": cancelled,
-                "state": job.state.value,
-            })
-            return
-        if self.path != "/submit":
-            # The request body was never read; a keep-alive peer would see
-            # its unread bytes parsed as the next request line.
-            self.close_connection = True
-            self._send(404, {"error": f"unknown endpoint {self.path!r}"})
-            return
-        try:
-            spec = JobSpec.from_dict(self._read_json())
-        except ValueError as exc:
-            # Oversized bodies are rejected unread — don't reuse the socket.
-            self.close_connection = True
-            self._send(400, {"error": str(exc)})
-            return
-        context = TraceContext.from_traceparent(
-            self.headers.get(TRACEPARENT_HEADER))
-        try:
-            job = self.scheduler.submit(spec, trace_context=context)
+            job = self.backend.submit(spec, trace_context=self.trace_context())
         except QueueFull as exc:
-            self._send(
+            self.send_json(
                 429,
                 {"error": str(exc), "retry_after": exc.retry_after},
                 headers={"Retry-After": f"{exc.retry_after:g}"},
             )
             return
-        self._send(202, {
+        self.send_json(202, {
             "job_id": job.id,
             "state": job.state.value,
             "coalesced_into": job.coalesced_into,
             "trace_id": job.trace_id,
         })
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/stats":
-            payload = self.scheduler.stats_payload()
-            if self.agent is not None:
-                payload["shard"] = self.agent.status_dict()
-            self._send(200, payload)
+    def post_cancel(self, job_id: str) -> None:
+        job = self.backend.get(job_id)
+        if job is None:
+            self.send_json(404, {"error": "unknown job id"})
             return
-        if self.path == "/metrics":
-            if self.scheduler.metrics is None:
-                self._send(404, {"error": "metrics are disabled on this service"})
-                return
-            from repro.obs.exposition import CONTENT_TYPE
+        cancelled = self.backend.cancel(job_id)
+        self.send_json(200, {
+            "job_id": job_id,
+            "cancelled": cancelled,
+            "state": job.state.value,
+        })
 
-            self._send_text(200, self.scheduler.metrics_text(), CONTENT_TYPE)
-            return
-        if self.path == "/health":
-            self._send(200, {"status": "ok", "paused": self.scheduler.paused,
+    def get_status(self, job_id: str) -> None:
+        job = self.backend.get(job_id)
+        self.send_found(None if job is None else job.status_dict(),
+                        "unknown job id")
+
+    def get_result(self, job_id: str) -> None:
+        job = self.backend.get(job_id)
+        if job is None:
+            self.send_json(404, {"error": "unknown job id"})
+        elif not job.finished:
+            self.send_json(202, {"job_id": job.id, "state": job.state.value})
+        else:
+            self.send_json(200, {
+                "job_id": job.id,
+                "state": job.state.value,
+                "coalesced_into": job.coalesced_into,
+                "result": job.result,
+                "error": job.error,
+            })
+
+    def get_stats(self) -> None:
+        payload = self.backend.stats_payload()
+        if self.agent is not None:
+            payload["shard"] = self.agent.status_dict()
+        self.send_json(200, payload)
+
+    def get_health(self) -> None:
+        self.send_json(200, {"status": "ok", "paused": self.backend.paused,
                              "version": __version__})
-            return
-        if self.path.startswith("/trace/"):
-            payload = self.scheduler.trace_payload(self.path[len("/trace/"):])
-            if payload is None:
-                self._send(404, {"error": "unknown job/trace id "
-                                          "(unsampled or evicted traces 404)"})
-            else:
-                self._send(200, payload)
-            return
-        for prefix in ("/status/", "/result/"):
-            if self.path.startswith(prefix):
-                job = self.scheduler.get(self.path[len(prefix):])
-                if job is None:
-                    self._send(404, {"error": "unknown job id"})
-                    return
-                if prefix == "/status/":
-                    self._send(200, job.status_dict())
-                elif not job.finished:
-                    self._send(202, {"job_id": job.id, "state": job.state.value})
-                else:
-                    self._send(200, {
-                        "job_id": job.id,
-                        "state": job.state.value,
-                        "coalesced_into": job.coalesced_into,
-                        "result": job.result,
-                        "error": job.error,
-                    })
-                return
-        self._send(404, {"error": f"unknown endpoint {self.path!r}"})
 
 
-class ServiceServer:
+class ServiceServer(HttpService):
     """Owns one scheduler plus the HTTP listener bound to it.
 
     ``port=0`` binds an ephemeral port (read it back from
@@ -235,11 +155,7 @@ class ServiceServer:
         if scheduler is not None and scheduler_kwargs:
             raise ValueError("pass scheduler kwargs or an instance, not both")
         self.scheduler = scheduler or Scheduler(**scheduler_kwargs)
-        handler = type("_BoundHandler", (_Handler,),
-                       {"scheduler": self.scheduler, "verbose": verbose})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._thread: threading.Thread | None = None
+        super().__init__(_Handler, self.scheduler, host, port, verbose)
         self.agent = None
         if register is not None:
             # The listener is already bound, so the real port is known
@@ -252,55 +168,20 @@ class ServiceServer:
                 advertise_url=advertise_url or self.url,
                 heartbeat_interval=heartbeat_interval,
             )
-            handler.agent = self.agent
+            self._httpd.RequestHandlerClass.agent = self.agent
 
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ServiceServer":
-        """Start scheduler workers and the HTTP listener thread."""
+    def _start_backend(self) -> None:
         self.scheduler.start()
         if self.agent is not None:
             self.agent.start()
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever, name="repro-serve-http", daemon=True
-            )
-            self._thread.start()
-        return self
 
-    def serve_forever(self) -> None:
-        """Blocking variant for the CLI (Ctrl-C to stop)."""
-        self.scheduler.start()
-        if self.agent is not None:
-            self.agent.start()
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self.shutdown()
-
-    def shutdown(self) -> None:
-        """Stop the listener, the workers, and persist the cache tier."""
-        if self.agent is not None:
-            self.agent.stop()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(5.0)
-            self._thread = None
+    def _stop_backend(self) -> None:
+        """Stop the workers and persist the cache tier."""
         self.scheduler.close()
 
-    def __enter__(self) -> "ServiceServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
+    def shutdown(self) -> None:
+        # The agent goes first, while the listener still answers: a
+        # heartbeat in flight makes the gateway fetch results from here.
+        if self.agent is not None:
+            self.agent.stop()
+        super().shutdown()

@@ -13,3 +13,10 @@ def risky(raw):
 def collect(item, bucket=[]):  # SEEDED: mutable-default
     bucket.append(item)
     return bucket
+
+
+def fetch(url):
+    import urllib.request
+
+    with urllib.request.urlopen(url) as resp:  # SEEDED: second-transport
+        return resp.read()

@@ -2,14 +2,13 @@
 
 
 class _Handler:
-    def do_POST(self):
-        if self.path == "/submit":
-            self._send(202, {"job_id": "j-1", "state": "queued"})
-            return
-        self._send(404, {"error": "unknown"})
+    ROUTES = {
+        ("POST", "/submit"): "post_submit",
+        ("GET", "/status/"): "get_status",
+    }
 
-    def do_GET(self):
-        if self.path.startswith("/status/"):
-            self._send(200, {"job_id": "j-1", "state": "queued"})
-            return
-        self._send(404, {"error": "unknown"})
+    def post_submit(self):
+        self.send_json(202, {"job_id": "j-1", "state": "queued"})
+
+    def get_status(self, job_id):
+        self.send_json(200, {"job_id": job_id, "state": "queued"})

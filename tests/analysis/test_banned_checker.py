@@ -1,4 +1,4 @@
-"""BAN001/BAN002/BAN003: banned patterns."""
+"""BAN001-BAN004: banned patterns."""
 
 from __future__ import annotations
 
@@ -35,3 +35,18 @@ def test_pickle_allowed_in_executor_module():
 
     report = check_paths(SRC / "parallel" / "executor.py")
     assert findings_for("BAN002", report) == []
+
+
+def test_second_transport_flagged_outside_client():
+    report = check_paths(BANNED)
+    findings = findings_for("BAN004", report)
+    assert len(findings) == 1
+    assert findings[0].line == line_of(BANNED, "SEEDED: second-transport")
+    assert "serve/client.py" in findings[0].message
+
+
+def test_transport_and_listener_allowed_in_their_one_module():
+    from analysis_helpers import SRC
+
+    report = check_paths(SRC / "serve" / "client.py", SRC / "serve" / "http.py")
+    assert findings_for("BAN004", report) == []

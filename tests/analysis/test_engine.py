@@ -26,7 +26,7 @@ def test_builtin_suite_registers_all_checkers():
     rules = rule_catalogue()
     for rule in ("LOCK001", "LOCK002", "MONO001", "MONO002",
                  "WIRE001", "WIRE002", "WIRE003",
-                 "BAN001", "BAN002", "BAN003"):
+                 "BAN001", "BAN002", "BAN003", "BAN004"):
         assert rule in rules
 
 

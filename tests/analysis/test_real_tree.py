@@ -50,3 +50,22 @@ def test_lock_graph_sees_the_real_cross_class_edges():
     assert ("Scheduler._lock", "JobQueue._cond") in edge_set
     assert ("Scheduler._lock", "ProcessJobPool._lock") in edge_set
     assert locks._find_cycles(edges) == []
+
+
+def test_wire_checker_reads_the_real_route_tables():
+    """Guard against WIRE001 passing vacuously: a renamed or reshaped
+    ``ROUTES`` table would extract nothing and flag nothing."""
+    from repro.analysis import wire
+    from repro.analysis.engine import ParsedFile
+
+    def parsed(suffix):
+        return ParsedFile(str(REPO_ROOT), str(SRC / suffix))
+
+    base = parsed(wire.HTTP_BASE)
+    node = wire._declared_routes(parsed(wire.NODE_SERVER), base)
+    gateway = wire._declared_routes(parsed(wire.GATEWAY_SERVER), base)
+    assert sum(len(routes) for routes in node.values()) >= 8
+    assert sum(len(routes) for routes in gateway.values()) >= 12
+    # The shared table reaches both through the ``**JsonHandler.ROUTES`` spread.
+    assert {"/stats", "/metrics", "/trace/"} <= set(node["GET"]) & set(gateway["GET"])
+    assert "/heartbeat/" in gateway["POST"] and "/cancel/" in node["POST"]

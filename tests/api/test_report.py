@@ -1,4 +1,4 @@
-"""Typed reports: wire-dict compatibility with serve.schema, and parsing."""
+"""Typed reports: their wire dicts (key sets, values), and parsing."""
 
 import json
 
@@ -16,7 +16,6 @@ from repro.api import (
     report_from_dict,
 )
 from repro.core.fraz import FRaZ
-from repro.serve import schema
 
 
 @pytest.fixture(scope="module")
@@ -26,37 +25,63 @@ def tuned(smooth2d):
     return fraz, payload, result
 
 
-class TestSchemaCompatibility:
-    """serve.schema payloads are exactly the report classes' wire dicts."""
+TUNE_KEYS = [
+    "kind", "compressor", "input", "target_ratio", "tolerance",
+    "max_error_bound", "error_bound", "ratio", "feasible", "within_tolerance",
+    "evaluations", "cache_hits", "cache_misses", "compressor_calls",
+    "wall_seconds", "compress_seconds", "cache",
+]
+COMPRESS_KEYS = [
+    "kind", "streamed", "compressor", "input", "output", "error_bound",
+    "ratio", "original_nbytes", "compressed_nbytes", "wall_seconds",
+    "tuning", "cache",
+]
 
-    def test_tune_payload_matches_report(self, tuned):
+
+class TestWireDicts:
+    """``to_dict()`` is the wire schema: same keys, same values."""
+
+    def test_tune_report_wire_dict(self, tuned):
         fraz, _, result = tuned
-        via_schema = schema.tune_payload(
+        wire = TuneReport.from_training(
             result, compressor="sz", input="f.npy", max_error_bound=None,
             cache=fraz.evaluation_cache,
-        )
-        via_report = TuneReport.from_training(
-            result, compressor="sz", input="f.npy",
-            cache=fraz.evaluation_cache,
         ).to_dict()
-        assert via_schema == via_report
-        assert list(via_schema) == list(via_report)  # key order too
+        assert list(wire) == TUNE_KEYS  # key order too
+        assert wire["kind"] == "tune" and wire["compressor"] == "sz"
+        assert wire["input"] == "f.npy" and wire["max_error_bound"] is None
+        assert wire["target_ratio"] == 8.0 and wire["tolerance"] == 0.2
+        assert wire["error_bound"] == pytest.approx(result.error_bound)
+        assert wire["ratio"] == pytest.approx(result.ratio)
+        assert wire["feasible"] is True and wire["within_tolerance"] is True
+        assert wire["evaluations"] == result.evaluations
+        assert wire["compressor_calls"] == result.compressor_calls
+        assert wire["cache_hits"] == result.cache_hits
+        assert wire["cache_misses"] == result.cache_misses
+        assert wire["cache"] == fraz.evaluation_cache.stats_dict()
 
-    def test_compress_payload_matches_report(self, tuned):
+    def test_compress_report_wire_dict(self, tuned):
         _, payload, result = tuned
-        tuning = schema.tune_payload(result, compressor="sz")
-        via_schema = schema.compress_payload(
+        tuning = TuneReport.from_training(result, compressor="sz")
+        wire = CompressReport.from_field(
             payload, compressor="sz", error_bound=result.error_bound,
             output="o.frz", tuning=tuning, wall_seconds=0.125,
-        )
-        via_report = CompressReport.from_field(
-            payload, compressor="sz", error_bound=result.error_bound,
-            output="o.frz", tuning=TuneReport.from_dict(tuning),
-            wall_seconds=0.125,
         ).to_dict()
-        assert via_schema == via_report
+        assert list(wire) == COMPRESS_KEYS
+        assert wire["kind"] == "compress" and wire["streamed"] is False
+        assert wire["output"] == "o.frz" and wire["input"] is None
+        assert wire["error_bound"] == pytest.approx(result.error_bound)
+        assert wire["ratio"] == pytest.approx(payload.ratio)
+        assert wire["original_nbytes"] == payload.original_nbytes
+        assert wire["compressed_nbytes"] == payload.nbytes
+        assert wire["wall_seconds"] == 0.125
+        assert wire["cache"] is None
+        # The nested tuning travels as the tune report's own wire dict and
+        # survives a parse/serialize round trip unchanged.
+        assert wire["tuning"] == tuning.to_dict()
+        assert TuneReport.from_dict(wire["tuning"]).to_dict() == wire["tuning"]
 
-    def test_stream_payload_matches_report(self, tmp_path, smooth2d):
+    def test_stream_report_wire_dict(self, tmp_path, smooth2d):
         src = tmp_path / "f.npy"
         np.save(src, smooth2d)
         req = CompressionRequest(

@@ -34,7 +34,8 @@ class _ScriptedServer:
 
     Script entries are ``(status, payload)`` or ``(status, payload,
     headers)`` — the third element sends extra response headers, which is
-    how the Retry-After-header-only cases are scripted.
+    how the Retry-After-header-only cases are scripted.  A ``bytes``
+    payload is sent verbatim (for bodies that are not JSON at all).
     """
 
     def __init__(self, script: list[tuple]) -> None:
@@ -56,7 +57,8 @@ class _ScriptedServer:
                          else (500, {"error": "script exhausted"}))
                 status, payload = entry[0], entry[1]
                 headers = dict(entry[2]) if len(entry) > 2 else {}
-                body = json.dumps(payload).encode()
+                body = (payload if isinstance(payload, bytes)
+                        else json.dumps(payload).encode())
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))

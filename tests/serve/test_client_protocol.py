@@ -9,7 +9,10 @@ absorbs it with a counted fallback instead of crashing its loop.
 
 from __future__ import annotations
 
+import time
+
 import pytest
+from test_client_backoff import _ScriptedServer
 
 from repro.serve.agent import DEFAULT_HEARTBEAT_INTERVAL, NodeAgent
 from repro.serve.client import ProtocolError, ServiceClient, ServiceError
@@ -137,3 +140,42 @@ def test_agent_heartbeat_ignores_mistyped_acks(monkeypatch):
     agent._try_heartbeat()
     assert agent.protocol_errors == 1
     assert "j-1" in agent._pending_set  # nothing silently dropped
+
+
+# -- bodies that are not JSON objects at all ----------------------------------
+@pytest.mark.parametrize("raw", [b"<html>captive portal</html>", b"[1, 2]", b""])
+def test_2xx_non_object_body_is_a_protocol_error(raw):
+    with _ScriptedServer([(200, raw)]) as server:
+        with pytest.raises(ProtocolError) as exc:
+            ServiceClient(server.url)._request("POST", "/submit", {})
+    assert exc.value.status == 200
+
+
+def test_error_status_non_object_body_reads_as_empty():
+    with _ScriptedServer([(502, b"<html>bad gateway</html>"), (404, b"[]")]) as server:
+        client = ServiceClient(server.url)
+        assert client._request("POST", "/submit", {}) == (502, {})
+        assert client._request("POST", "/submit", {}) == (404, {})
+
+
+def test_agent_survives_non_json_200_and_registers_after_recovery():
+    """A gateway (or a proxy in front of it) answering ``200 <html>``
+    used to kill the heartbeat thread with a bare ``JSONDecodeError``,
+    after which the node was reaped as dead."""
+    script = ([(200, b"<html>captive portal</html>")] * 2
+              + [(200, {"heartbeat_interval": 0.05})]
+              + [(200, {"state": "active", "acked": []})] * 400)
+    sched = Scheduler(workers=1, cache=False, metrics=False)
+    with _ScriptedServer(script) as gateway:
+        agent = NodeAgent(sched, gateway.url, node_id="n0",
+                          advertise_url="http://127.0.0.1:2",
+                          heartbeat_interval=0.05).start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while not agent.registered and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert agent._thread.is_alive()
+            assert agent.protocol_errors >= 1
+            assert agent.registered
+        finally:
+            agent.stop()
