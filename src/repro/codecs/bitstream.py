@@ -8,6 +8,9 @@ The compressors need two access patterns:
   indexing and :func:`numpy.packbits` — no per-symbol Python loop.
 * **cursor-style reads/writes of fixed-width fields** (headers, block
   metadata): done with :class:`BitWriter` / :class:`BitReader`.
+* **peeking a short field at every bit offset at once** (the Huffman
+  decoder's table lookups): done with :func:`bit_windows`, straight from
+  the packed bytes.
 
 Bits are packed MSB-first: the first bit written is the most significant bit
 of the first byte, matching the convention of DEFLATE-style canonical Huffman
@@ -18,11 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pack_bits", "unpack_bits", "BitReader", "BitWriter"]
+__all__ = ["pack_bits", "unpack_bits", "bit_windows", "BitReader", "BitWriter"]
 
 _MAX_CODE_BITS = 57
-# ``sliding_window_view``-based peeking in BitReader uses a uint64 dot
-# product; 57 bits keeps every intermediate exactly representable.
+
+_MAX_WINDOW_BITS = 25
+# A window starts up to 7 bits into its 32-bit word.
 
 
 def pack_bits(codes: np.ndarray, lengths: np.ndarray) -> bytes:
@@ -82,6 +86,32 @@ def unpack_bits(data: bytes, nbits: int | None = None) -> np.ndarray:
             raise ValueError(f"requested {nbits} bits but payload has {bits.size}")
         bits = bits[:nbits]
     return bits
+
+
+def bit_windows(data: bytes, width: int) -> np.ndarray:
+    """The ``width``-bit MSB-first field starting at *every* bit offset.
+
+    Element ``p`` of the result is the unsigned value of bits
+    ``p .. p + width - 1`` of ``data``, with zero bits read past the end —
+    what :meth:`BitReader.read` of ``width`` bits after ``seek(p)`` gives on
+    a zero-padded stream.  One big-endian 32-bit word is formed per
+    byte and shifted by its eight in-byte offsets, so the cost is a handful
+    of passes over ``8 * len(data)`` elements and no ``nbits x width``
+    intermediate.
+
+    Returns an ``intp`` array of ``8 * len(data)`` values, ready to index a
+    ``2**width``-entry lookup table; ``width`` is limited to
+    ``[1, 25]``.
+    """
+    if not 1 <= width <= _MAX_WINDOW_BITS:
+        raise ValueError(f"width must be in [1, {_MAX_WINDOW_BITS}], got {width}")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    padded = np.zeros(raw.size + 3, dtype=np.intp)
+    padded[: raw.size] = raw
+    words = (padded[:-3] << 24) | (padded[1:-2] << 16) | (padded[2:-1] << 8) | padded[3:]
+    windows = words[:, None] >> (32 - width - np.arange(8))
+    windows &= (1 << width) - 1
+    return windows.reshape(-1)
 
 
 class BitWriter:

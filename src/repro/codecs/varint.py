@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import CorruptPayloadError
+
 __all__ = [
     "encode_uvarint",
     "decode_uvarint",
@@ -67,7 +69,17 @@ def encode_uvarints(values: np.ndarray) -> bytes:
 
 
 def decode_uvarints(data: bytes, count: int, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode ``count`` LEB128 integers; returns (uint64 array, next offset)."""
+    """Decode ``count`` LEB128 integers; returns (uint64 array, next offset).
+
+    ``count`` usually comes from the bytes being parsed, so it is checked
+    against the input left (one byte per value at least) before anything
+    is allocated; a value that does not fit 64 bits is rejected as well.
+    """
+    if count > len(data) - offset:
+        raise CorruptPayloadError(
+            f"truncated uvarint stream: {count} values declared, "
+            f"{max(len(data) - offset, 0)} bytes left"
+        )
     out = np.empty(count, dtype=np.uint64)
     pos = offset
     for i in range(count):
@@ -75,13 +87,17 @@ def decode_uvarints(data: bytes, count: int, offset: int = 0) -> tuple[np.ndarra
         shift = 0
         while True:
             if pos >= len(data):
-                raise ValueError("truncated uvarint stream")
+                raise CorruptPayloadError("truncated uvarint stream")
             byte = data[pos]
             pos += 1
             value |= (byte & 0x7F) << shift
             if not byte & 0x80:
                 break
             shift += 7
+            if shift > 63:
+                raise CorruptPayloadError("uvarint longer than 10 bytes")
+        if value >> 64:
+            raise CorruptPayloadError("uvarint does not fit 64 bits")
         out[i] = value
     return out, pos
 

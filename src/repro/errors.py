@@ -12,6 +12,9 @@ historically (``RequestError`` is still a ``ValueError``,
 ``JobTimeoutError`` still a ``TimeoutError``, ...), so existing
 ``except ValueError`` / ``pytest.raises(TimeoutError)`` code keeps
 working unchanged.
+
+Below the service surface, decoders raise :class:`CorruptPayloadError`
+for bytes no encoder in this package could have written.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "SchedulerStoppedError",
     "UnknownJobError",
     "JobTimeoutError",
+    "CorruptPayloadError",
 ]
 
 
@@ -58,3 +62,12 @@ class UnknownJobError(ReproError, KeyError):
 
 class JobTimeoutError(ReproError, TimeoutError):
     """A wait on a job (or a drain) exceeded its deadline."""
+
+
+class CorruptPayloadError(ReproError, ValueError):
+    """Compressed bytes are truncated, inconsistent or outside format limits.
+
+    Raised by decoders *before* a declared size is trusted for an
+    allocation, so hostile input costs neither time nor memory.  Also a
+    ``ValueError``, which is what decoders raised historically.
+    """

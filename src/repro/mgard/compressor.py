@@ -23,6 +23,7 @@ from repro.codecs.container import Container
 from repro.codecs.huffman import HuffmanCodec
 from repro.codecs.interface import get_byte_codec
 from repro.codecs.varint import decode_uvarints, encode_uvarints, zigzag_decode, zigzag_encode
+from repro.errors import CorruptPayloadError
 from repro.mgard.decompose import decompose, detail_sizes, recompose
 from repro.mgard.grid import level_shape, num_levels
 from repro.pressio.arrayio import decode_array_header, encode_array_header
@@ -216,7 +217,10 @@ class MGARDCompressor(Compressor):
 
         boundaries = np.cumsum(sizes)
         if symbols.size != boundaries[-1]:
-            raise ValueError("MGARD payload symbol count mismatch")
+            raise CorruptPayloadError(
+                f"mgard payload holds {symbols.size} symbols, "
+                f"header declares {boundaries[-1]} coefficients"
+            )
         parts = np.split(symbols, boundaries[:-1])
 
         esc_mask_all = symbols == self.radius

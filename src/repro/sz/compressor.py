@@ -23,6 +23,7 @@ from repro.codecs.container import Container
 from repro.codecs.huffman import HuffmanCodec
 from repro.codecs.interface import get_byte_codec
 from repro.codecs.varint import decode_uvarints, encode_uvarints
+from repro.errors import CorruptPayloadError
 from repro.pressio.arrayio import decode_array_header, encode_array_header
 from repro.pressio.compressor import CompressedField, Compressor
 from repro.sz.blocks import BlockGrid
@@ -230,6 +231,10 @@ class SZCompressor(Compressor):
             -1, len(shape) + 1
         )
         symbols = HuffmanCodec().decode(inner.get("codes"))
+        if symbols.size != n:
+            raise CorruptPayloadError(
+                f"sz payload holds {symbols.size} symbols, header declares {n} elements"
+            )
         literal_mask = symbols == int(radius)
         literals = np.frombuffer(inner.get("literals"), dtype=dtype)
 

@@ -29,6 +29,7 @@ from repro.codecs.container import Container
 from repro.codecs.huffman import HuffmanCodec
 from repro.codecs.interface import get_byte_codec
 from repro.codecs.varint import decode_uvarints, encode_uvarints
+from repro.errors import CorruptPayloadError
 from repro.pressio.arrayio import decode_array_header, encode_array_header
 from repro.pressio.compressor import CompressedField, Compressor
 from repro.sz.lorenzo import wavefront_plan
@@ -237,11 +238,18 @@ class SZInterpolationCompressor(Compressor):
         (levels, radius, codec_len), off = decode_uvarints(header, 3, off)
         codec = header[off : off + int(codec_len)].decode()
 
-        if int(np.prod(shape)) == 0:
+        n = int(np.prod(shape))
+        if n == 0:
             return np.zeros(shape, dtype=dtype)
 
         inner = Container.frombytes(get_byte_codec(codec).decompress(outer.get("body")))
         all_symbols = HuffmanCodec().decode(inner.get("codes"))
+        # Anchors and refinement passes visit every element exactly once.
+        if all_symbols.size != n:
+            raise CorruptPayloadError(
+                f"sz-interp payload holds {all_symbols.size} symbols, "
+                f"header declares {n} elements"
+            )
         all_literals = np.frombuffer(inner.get("literals"), dtype=dtype)
 
         recon = np.zeros(shape, dtype=dtype)
@@ -294,6 +302,4 @@ class SZInterpolationCompressor(Compressor):
             out[keep] = dequantize(seg[keep], pred[keep], eb, dtype)
             recon[target_sl] = out.reshape(view_shape)
 
-        if sym_pos != all_symbols.size:
-            raise ValueError("sz-interp payload symbol count mismatch")
         return recon

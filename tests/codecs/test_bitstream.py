@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.codecs.bitstream import BitReader, BitWriter, pack_bits, unpack_bits
+from repro.codecs.bitstream import BitReader, BitWriter, bit_windows, pack_bits, unpack_bits
 
 
 class TestPackBits:
@@ -69,6 +69,26 @@ class TestUnpackBits:
     def test_over_request_raises(self):
         with pytest.raises(ValueError):
             unpack_bits(b"\xff", nbits=9)
+
+
+class TestBitWindows:
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 25])
+    def test_equals_a_cursor_read_at_every_offset(self, width):
+        data = np.random.default_rng(width).integers(0, 256, 11, dtype=np.uint8).tobytes()
+        reader = BitReader(data + bytes(4))  # reads past the end see zero bits
+        windows = bit_windows(data, width)
+        assert windows.shape == (88,)
+        for offset, window in enumerate(windows.tolist()):
+            reader.seek(offset)
+            assert window == reader.read(width)
+
+    def test_empty(self):
+        assert bit_windows(b"", 16).size == 0
+
+    @pytest.mark.parametrize("width", [0, 26])
+    def test_rejects_width_outside_limits(self, width):
+        with pytest.raises(ValueError):
+            bit_windows(b"\x00", width)
 
 
 class TestBitWriter:
