@@ -81,7 +81,7 @@ EXAMPLES = {
 }
 
 
-@checker("banned-patterns", scope="file", rules=RULES, version=2,
+@checker("banned-patterns", scope="file", rules=RULES,
          examples=EXAMPLES)
 def check_banned(pf: ParsedFile) -> list[Finding]:
     findings: list[Finding] = []

@@ -2,26 +2,21 @@
 
 The service tier's correctness rests on three hand-maintained
 conventions: lock discipline in the threaded modules, the monotonic
-clock convention (``*_mono``), and three synchronized copies of the wire
-protocol (node server, gateway, client).  This engine makes those
+clock convention (``*_mono``), and the route tables the node server, the
+gateway and their clients must agree on.  This engine makes those
 conventions machine-checked at lint time.
 
 Architecture
 ------------
 * **Checkers** register themselves via :func:`checker` with a *scope*:
 
-  - ``"file"`` checkers see one :class:`ParsedFile` at a time and are
-    cached per file, keyed by content hash;
+  - ``"file"`` checkers see one :class:`ParsedFile` at a time;
   - ``"project"`` checkers see the whole :class:`Project` (cross-file
-    facts: lock-acquisition graph, wire-protocol agreement) and always
-    run.
+    facts: lock-acquisition graph, wire-protocol agreement).
 
 * **Suppressions**: a ``# repro: ignore[RULE]`` comment on the flagged
-  line silences that rule there (``# repro: ignore`` silences all).
-* **Baseline**: a committed JSON file of accepted findings keyed by
-  ``rule:path:message`` (line numbers excluded, so pure code motion does
-  not churn it).  ``--strict`` fails on any *new* finding and on stale
-  baseline entries that no longer fire.
+  line silences that rule there (``# repro: ignore`` silences all).  It
+  is the one way to accept a finding; any finding left fails the run.
 
 Importing :mod:`repro.analysis.checkers` registers the built-in suite;
 see ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and how to add a
@@ -32,13 +27,12 @@ from __future__ import annotations
 
 import argparse
 import ast
-import hashlib
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 __all__ = [
     "Finding",
@@ -52,14 +46,8 @@ __all__ = [
     "main",
 ]
 
-#: Bump to invalidate every per-file cache entry on engine changes.
-ENGINE_VERSION = 1
-
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*ignore(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?")
-
-DEFAULT_BASELINE = os.path.join("tools", "check_baseline.json")
-DEFAULT_CACHE = ".repro_check_cache.json"
 
 
 # ---------------------------------------------------------------------------
@@ -76,30 +64,8 @@ class Finding:
     col: int
     message: str
 
-    @property
-    def key(self) -> str:
-        """Baseline identity — deliberately excludes line/col so moving
-        code around does not invalidate a committed baseline."""
-        return f"{self.rule}:{self.path}:{self.message}"
-
     def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Finding":
-        return cls(
-            rule=str(payload["rule"]),
-            path=str(payload["path"]),
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            message=str(payload["message"]),
-        )
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +73,7 @@ class Finding:
 
 
 class ParsedFile:
-    """One source file: text, AST, content hash, and suppression map."""
+    """One source file: text, AST, and suppression map."""
 
     def __init__(self, root: str, abspath: str) -> None:
         self.abspath = abspath
@@ -116,7 +82,6 @@ class ParsedFile:
         with open(abspath, "r", encoding="utf-8") as fh:
             self.source = fh.read()
         self.lines = self.source.splitlines()
-        self.sha = hashlib.sha256(self.source.encode("utf-8")).hexdigest()
         self.syntax_error: SyntaxError | None = None
         try:
             self.tree: ast.Module = ast.parse(self.source, filename=self.path)
@@ -180,7 +145,6 @@ class Checker:
     name: str
     scope: str  # "file" | "project"
     rules: dict  # rule id -> one-line description
-    version: int
     fn: Callable
     examples: dict  # rule id -> (violating snippet, clean snippet)
 
@@ -188,25 +152,21 @@ class Checker:
 _CHECKERS: dict[str, Checker] = {}
 
 
-def checker(name: str, *, scope: str, rules: dict, version: int = 1,
+def checker(name: str, *, scope: str, rules: dict,
             examples: dict | None = None):
     """Register a checker.
 
-    ``scope="file"``: ``fn(pf: ParsedFile) -> list[Finding]`` — results
-    are cached per file by content hash.
-    ``scope="project"``: ``fn(project: Project) -> list[Finding]`` —
-    always runs (cross-file facts cannot be cached per file).
+    ``scope="file"``: ``fn(pf: ParsedFile) -> list[Finding]``.
+    ``scope="project"``: ``fn(project: Project) -> list[Finding]``.
     ``examples`` maps each rule id to a ``(violating, clean)`` snippet
-    pair shown by ``repro check --explain RULE``; examples are docs, not
-    behaviour, so they do not participate in the cache fingerprint.
+    pair shown by ``repro check --explain RULE``.
     """
     if scope not in ("file", "project"):
         raise ValueError(f"scope must be 'file' or 'project', got {scope!r}")
 
     def register(fn):
         _CHECKERS[name] = Checker(name=name, scope=scope, rules=dict(rules),
-                                  version=version, fn=fn,
-                                  examples=dict(examples or {}))
+                                  fn=fn, examples=dict(examples or {}))
         return fn
 
     return register
@@ -249,62 +209,6 @@ def _load_builtin_checkers() -> None:
 
 
 # ---------------------------------------------------------------------------
-# cache
-
-
-def _checker_fingerprint(checkers: Iterable[Checker]) -> str:
-    parts = sorted(f"{c.name}={c.version}" for c in checkers)
-    blob = f"engine={ENGINE_VERSION};" + ";".join(parts)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-def _load_cache(path: str, fingerprint: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint:
-        return {}
-    files = payload.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _write_cache(path: str, fingerprint: str, files: dict) -> None:
-    payload = {"fingerprint": fingerprint, "files": files}
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-    except OSError:  # read-only checkout: caching is best-effort  # repro: ignore[EXC002]
-        pass
-
-
-# ---------------------------------------------------------------------------
-# baseline
-
-
-def load_baseline(path: str) -> set[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError:
-        return set()
-    entries = payload.get("findings", []) if isinstance(payload, dict) else []
-    return {str(e) for e in entries}
-
-
-def write_baseline(path: str, findings: list[Finding]) -> None:
-    payload = {
-        "comment": "Accepted repro-check findings; keys are rule:path:message. "
-                   "Regenerate with `repro check --write-baseline`.",
-        "findings": sorted({f.key for f in findings}),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
 # runner
 
 
@@ -313,11 +217,7 @@ class CheckReport:
     """Outcome of one ``run_checks`` invocation."""
 
     findings: list[Finding]
-    new: list[Finding]
-    baselined: list[Finding]
-    stale_baseline: list[str]
     files_checked: int
-    cache_hits: int
 
     @property
     def counts_by_rule(self) -> dict[str, int]:
@@ -329,11 +229,7 @@ class CheckReport:
     def to_dict(self) -> dict:
         return {
             "findings": [f.to_dict() for f in self.findings],
-            "new": [f.to_dict() for f in self.new],
-            "baselined": [f.to_dict() for f in self.baselined],
-            "stale_baseline": sorted(self.stale_baseline),
             "files_checked": self.files_checked,
-            "cache_hits": self.cache_hits,
             "counts_by_rule": self.counts_by_rule,
         }
 
@@ -359,14 +255,8 @@ def discover_files(paths: list[str]) -> list[str]:
     return sorted(set(out))
 
 
-def run_checks(
-    paths: list[str] | None = None,
-    *,
-    root: str | None = None,
-    baseline: set[str] | None = None,
-    use_cache: bool = True,
-    cache_path: str | None = None,
-) -> CheckReport:
+def run_checks(paths: list[str] | None = None, *,
+               root: str | None = None) -> CheckReport:
     """Run every registered checker over ``paths`` (default: src/repro)."""
     root = os.path.abspath(root or default_root())
     if paths is None:
@@ -378,13 +268,7 @@ def run_checks(
     files = [ParsedFile(root, p) for p in discover_files(paths)]
     project = Project(root, files)
 
-    fingerprint = _checker_fingerprint(checkers.values())
-    cache_path = cache_path or os.path.join(root, DEFAULT_CACHE)
-    cached = _load_cache(cache_path, fingerprint) if use_cache else {}
-    next_cache: dict[str, dict] = {}
-
     findings: list[Finding] = []
-    cache_hits = 0
     for pf in files:
         if pf.syntax_error is not None:
             exc = pf.syntax_error
@@ -392,24 +276,11 @@ def run_checks(
                 rule="PARSE001", path=pf.path, line=exc.lineno or 1,
                 col=(exc.offset or 1) - 1, message=f"syntax error: {exc.msg}"))
             continue
-        entry = cached.get(pf.path)
-        if entry and entry.get("sha") == pf.sha:
-            cache_hits += 1
-            file_findings = [Finding.from_dict(d) for d in entry["findings"]]
-        else:
-            file_findings = []
-            for chk in file_checkers:
-                file_findings.extend(chk.fn(pf))
-        next_cache[pf.path] = {
-            "sha": pf.sha,
-            "findings": [f.to_dict() for f in file_findings],
-        }
-        findings.extend(file_findings)
-
+        for chk in file_checkers:
+            findings.extend(chk.fn(pf))
     for chk in project_checkers:
         findings.extend(chk.fn(project))
 
-    # Suppressions apply after collection so cached entries stay raw.
     kept: list[Finding] = []
     for f in findings:
         pf = project.get(f.path)
@@ -417,44 +288,24 @@ def run_checks(
             continue
         kept.append(f)
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    if use_cache:
-        _write_cache(cache_path, fingerprint, next_cache)
-
-    baseline = baseline or set()
-    new = [f for f in kept if f.key not in baseline]
-    baselined = [f for f in kept if f.key in baseline]
-    seen_keys = {f.key for f in kept}
-    stale = [k for k in sorted(baseline) if k not in seen_keys]
-    return CheckReport(findings=kept, new=new, baselined=baselined,
-                       stale_baseline=stale, files_checked=len(files),
-                       cache_hits=cache_hits)
+    return CheckReport(findings=kept, files_checked=len(files))
 
 
 # ---------------------------------------------------------------------------
 # output
 
 
-def format_human(report: CheckReport, project_root: str,
-                 *, strict: bool) -> str:
+def format_human(report: CheckReport, project_root: str) -> str:
     out: list[str] = []
-    for f in report.new:
+    for f in report.findings:
         out.append(f"{f.path}:{f.line}:{f.col + 1}: {f.rule} {f.message}")
         src = _source_line(project_root, f)
         if src is not None:
             out.append(f"  {f.line:>5} | {src.rstrip()}")
             out.append(f"  {'':>5} | {' ' * f.col}^")
-    if report.baselined:
-        out.append(f"note: {len(report.baselined)} baselined finding(s) suppressed"
-                   " (see tools/check_baseline.json)")
-    for key in report.stale_baseline:
-        prefix = "error" if strict else "note"
-        out.append(f"{prefix}: stale baseline entry no longer fires: {key}")
-    status = "clean" if not report.new else f"{len(report.new)} new finding(s)"
-    out.append(
-        f"repro check: {status} — {report.files_checked} file(s), "
-        f"{len(report.findings)} total finding(s), "
-        f"{report.cache_hits} cache hit(s)")
+    status = ("clean" if not report.findings
+              else f"{len(report.findings)} finding(s)")
+    out.append(f"repro check: {status} — {report.files_checked} file(s)")
     return "\n".join(out)
 
 
@@ -482,20 +333,8 @@ def build_check_parser(parser: argparse.ArgumentParser | None = None,
                         help="files/directories to check (default: src/repro)")
     parser.add_argument("--root", default=None,
                         help="repository root (default: auto-detected)")
-    parser.add_argument("--strict", action="store_true",
-                        help="also fail on stale baseline entries")
     parser.add_argument("--format", choices=("human", "json"), default="human",
                         help="output format (default: human)")
-    parser.add_argument("--baseline", default=None,
-                        help=f"baseline file (default: {DEFAULT_BASELINE})")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="accept current findings into the baseline and exit 0")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline in place: keep only entries "
-                             "that still fire (sorted, stable); new findings "
-                             "are NOT accepted and still fail the run")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the per-file result cache")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     parser.add_argument("--explain", metavar="RULE", default=None,
@@ -532,31 +371,13 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(text)
         return code
     root = os.path.abspath(args.root or default_root())
-    baseline_path = args.baseline or os.path.join(root, DEFAULT_BASELINE)
     paths = [os.path.abspath(p) for p in args.paths] or None
-    baseline = load_baseline(baseline_path)
-    report = run_checks(paths, root=root, baseline=baseline,
-                        use_cache=not args.no_cache)
-    if args.write_baseline:
-        write_baseline(baseline_path, report.findings)
-        print(f"wrote {len(report.findings)} finding(s) to {baseline_path}")
-        return 0
-    if args.update_baseline:
-        stale = set(report.stale_baseline)
-        kept = [f for f in report.findings if f.key in baseline]
-        write_baseline(baseline_path, kept)
-        print(f"baseline rewritten: {len({f.key for f in kept})} entr(ies) "
-              f"kept, {len(stale)} stale pruned")
-        # fall through: new findings still fail the run below
+    report = run_checks(paths, root=root)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
-        print(format_human(report, root, strict=args.strict))
-    if report.new:
-        return 1
-    if args.strict and report.stale_baseline and not args.update_baseline:
-        return 1  # --update-baseline just pruned the stale entries
-    return 0
+        print(format_human(report, root))
+    return 1 if report.findings else 0
 
 
 def main(argv: list[str] | None = None) -> int:

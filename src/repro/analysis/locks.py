@@ -524,7 +524,7 @@ def collect_lock_edges(project: Project) -> list[_Edge]:
 
 
 @checker("lock-order", scope="project", rules={"LOCK002": RULES["LOCK002"]},
-         version=2, examples={"LOCK002": EXAMPLES["LOCK002"]})
+         examples={"LOCK002": EXAMPLES["LOCK002"]})
 def check_lock_order(project: Project) -> list[Finding]:
     edges = collect_lock_edges(project)
     findings: list[Finding] = []

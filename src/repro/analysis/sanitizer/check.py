@@ -56,7 +56,7 @@ def _site_anchor(project: Project, edge: dict) -> tuple[str, int]:
         path, _, line = str(site).rpartition(":")
         if project.get(path) is not None and line.isdigit():
             return path, int(line)
-    return "tools/check_baseline.json", 1  # no resolvable site: pin stably
+    return DEFAULT_REPORT, 1  # no resolvable site: anchor at the report itself
 
 
 EXAMPLES = {

@@ -248,7 +248,7 @@ def _execute_decompress(request) -> DecompressReport:
                 ratio=field.ratio,
                 shape=field.shape,
                 dtype=field.dtype.str,
-                from_stream=True,
+                streamed=True,
                 n_chunks=field.n_chunks,
                 wall_seconds=round(time.perf_counter() - t0, 6),
             )
@@ -263,7 +263,7 @@ def _execute_decompress(request) -> DecompressReport:
         ratio=meta["ratio"],
         shape=data.shape,
         dtype=data.dtype.str,
-        from_stream=False,
+        streamed=False,
         wall_seconds=round(time.perf_counter() - t0, 6),
     )
 

@@ -5,6 +5,13 @@
 dictionaries produced by these classes' :meth:`to_dict`, so a client
 written against one entry point parses the others' results unchanged.
 
+The wire dict is *derived*: :meth:`Report.to_dict` writes each class's
+constant ``envelope`` (``kind``, and ``streamed`` where the class fixes
+it) followed by every dataclass field in declared order, and
+:meth:`Report.from_dict` is its inverse.  Declaring a field is what puts
+it on the wire, at that position; there is no second list to keep in
+step.
+
 Four shapes, all JSON-ready and parseable back via
 :func:`report_from_dict`:
 
@@ -18,10 +25,10 @@ Four shapes, all JSON-ready and parseable back via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.errors import RequestError
-from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:
     from repro.cache.evalcache import EvalCache
@@ -52,31 +59,57 @@ def _round(value: float | None, digits: int) -> float | None:
 
 
 class Report:
-    """Base class: every report is a frozen dataclass with a wire dict.
+    """Base class: every report is a frozen, keyword-only dataclass whose
+    fields, in declared order, are its wire dict.
 
     ``counters`` feeds the service's search accounting
-    (``(evaluations, compressor_calls)``); ``streamed`` says whether the
-    work went through the out-of-core pipeline.
+    (``(evaluations, compressor_calls)``).
     """
 
-    kind: ClassVar[str] = ""
-    streamed: ClassVar[bool] = False
+    #: Constant keys written ahead of the fields.
+    envelope: ClassVar[dict] = {}
 
     @property
     def counters(self) -> tuple[int, int]:
         return (0, 0)
 
-    def to_dict(self) -> dict:  # pragma: no cover - always overridden
-        raise NotImplementedError
+    def to_dict(self) -> dict:
+        """JSON-ready wire dict: the envelope, then the fields as declared."""
+        payload = dict(self.envelope)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Report):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            payload[f.name] = value
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "Report":
+        """Inverse of :meth:`to_dict`; a missing envelope key is taken as read."""
+        data = dict(payload)
+        for key, constant in cls.envelope.items():
+            if data.pop(key, constant) != constant:
+                raise RequestError(
+                    f"not a {cls.__name__}: {key} is {payload[key]!r}, "
+                    f"expected {constant!r}")
+        if data.get("tuning") is not None:
+            data["tuning"] = TuneReport.from_dict(data["tuning"])
+        return cls(**data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TuneReport(Report):
     """Structured record of one FRaZ search."""
 
+    envelope: ClassVar[dict] = {"kind": "tune"}
+
     compressor: str
+    input: str | None = None
     target_ratio: float
     tolerance: float
+    max_error_bound: float | None = None
     error_bound: float
     ratio: float
     feasible: bool
@@ -87,11 +120,7 @@ class TuneReport(Report):
     compressor_calls: int
     wall_seconds: float
     compress_seconds: float
-    input: str | None = None
-    max_error_bound: float | None = None
     cache: dict | None = None
-
-    kind: ClassVar[str] = "tune"
 
     @property
     def counters(self) -> tuple[int, int]:
@@ -126,36 +155,8 @@ class TuneReport(Report):
             cache=cache_section(cache),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "tune",
-            "compressor": self.compressor,
-            "input": self.input,
-            "target_ratio": self.target_ratio,
-            "tolerance": self.tolerance,
-            "max_error_bound": self.max_error_bound,
-            "error_bound": self.error_bound,
-            "ratio": self.ratio,
-            "feasible": self.feasible,
-            "within_tolerance": self.within_tolerance,
-            "evaluations": self.evaluations,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "compressor_calls": self.compressor_calls,
-            "wall_seconds": self.wall_seconds,
-            "compress_seconds": self.compress_seconds,
-            "cache": self.cache,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TuneReport":
-        data = dict(payload)
-        if data.pop("kind", "tune") != "tune":
-            raise RequestError("not a tune report")
-        return cls(**data)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CompressReport(Report):
     """Structured record of one in-memory compression.
 
@@ -163,19 +164,18 @@ class CompressReport(Report):
     ``error_bound``, or ``None`` for a fixed-bound run.
     """
 
+    envelope: ClassVar[dict] = {"kind": "compress", "streamed": False}
+
     compressor: str
+    input: str | None = None
+    output: str | None = None
     error_bound: float
     ratio: float
     original_nbytes: int
     compressed_nbytes: int
-    input: str | None = None
-    output: str | None = None
     wall_seconds: float | None = None
     tuning: TuneReport | None = None
     cache: dict | None = None
-
-    kind: ClassVar[str] = "compress"
-    streamed: ClassVar[bool] = False
 
     @property
     def counters(self) -> tuple[int, int]:
@@ -214,37 +214,16 @@ class CompressReport(Report):
             cache=cache_section(cache),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "compress",
-            "streamed": False,
-            "compressor": self.compressor,
-            "input": self.input,
-            "output": self.output,
-            "error_bound": self.error_bound,
-            "ratio": self.ratio,
-            "original_nbytes": self.original_nbytes,
-            "compressed_nbytes": self.compressed_nbytes,
-            "wall_seconds": self.wall_seconds,
-            "tuning": self.tuning.to_dict() if self.tuning is not None else None,
-            "cache": self.cache,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CompressReport":
-        data = dict(payload)
-        if data.pop("kind", "compress") != "compress" or data.pop("streamed", False):
-            raise RequestError("not an in-memory compress report")
-        if data.get("tuning") is not None:
-            data["tuning"] = TuneReport.from_dict(data["tuning"])
-        return cls(**data)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StreamReport(Report):
     """Structured record of one out-of-core (``.frzs``) compression."""
 
+    envelope: ClassVar[dict] = {"kind": "compress", "streamed": True}
+
     compressor: str
+    input: str | None = None
+    output: str | None = None
     error_bound: float
     ratio: float
     original_nbytes: int
@@ -258,15 +237,10 @@ class StreamReport(Report):
     cache_misses: int
     mb_per_second: float
     wall_seconds: float
-    input: str | None = None
-    output: str | None = None
-    cache: dict | None = None
     #: Seconds fitting the bound on the training prefix (the "train"
     #: stage); 0 for fixed-bound runs.
     train_seconds: float = 0.0
-
-    kind: ClassVar[str] = "compress"
-    streamed: ClassVar[bool] = True
+    cache: dict | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chunk_shape", tuple(self.chunk_shape))
@@ -307,82 +281,29 @@ class StreamReport(Report):
             train_seconds=round(result.train_seconds, 6),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "compress",
-            "streamed": True,
-            "compressor": self.compressor,
-            "input": self.input,
-            "output": self.output,
-            "error_bound": self.error_bound,
-            "ratio": self.ratio,
-            "original_nbytes": self.original_nbytes,
-            "compressed_nbytes": self.compressed_nbytes,
-            "n_chunks": self.n_chunks,
-            "chunk_shape": list(self.chunk_shape),
-            "retrains": self.retrains,
-            "in_band_chunks": self.in_band_chunks,
-            "evaluations": self.evaluations,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "mb_per_second": self.mb_per_second,
-            "wall_seconds": self.wall_seconds,
-            "train_seconds": self.train_seconds,
-            "cache": self.cache,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "StreamReport":
-        data = dict(payload)
-        if data.pop("kind", "compress") != "compress" or not data.pop("streamed", True):
-            raise RequestError("not a streamed compress report")
-        return cls(**data)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DecompressReport(Report):
-    """Structured record of one ``.frz``/``.frzs`` reconstruction."""
+    """Structured record of one ``.frz``/``.frzs`` reconstruction.
 
+    ``streamed`` is a field here, not an envelope constant: one class
+    reports both container kinds.
+    """
+
+    envelope: ClassVar[dict] = {"kind": "decompress"}
+
+    streamed: bool = False
     compressor: str
     input: str
     output: str
     ratio: float
     shape: tuple[int, ...]
     dtype: str
-    from_stream: bool = False
     n_chunks: int | None = None
     wall_seconds: float | None = None
 
-    kind: ClassVar[str] = "decompress"
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", tuple(self.shape))
-
-    @property
-    def streamed(self) -> bool:  # type: ignore[override]
-        return self.from_stream
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "decompress",
-            "streamed": self.from_stream,
-            "compressor": self.compressor,
-            "input": self.input,
-            "output": self.output,
-            "ratio": self.ratio,
-            "shape": list(self.shape),
-            "dtype": self.dtype,
-            "n_chunks": self.n_chunks,
-            "wall_seconds": self.wall_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DecompressReport":
-        data = dict(payload)
-        if data.pop("kind", "decompress") != "decompress":
-            raise RequestError("not a decompress report")
-        data["from_stream"] = data.pop("streamed", False)
-        return cls(**data)
 
 
 def stage_timings(payload: dict | Report) -> dict[str, float]:

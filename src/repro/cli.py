@@ -25,7 +25,7 @@ Commands
                 it as a waterfall (see docs/TRACING.md)
 ``load``        open-loop load harness with SLO gating (``BENCH_*`` snapshots)
 ``check``       run the static-analysis suite (lock discipline, clock
-                convention, wire-protocol drift; see docs/STATIC_ANALYSIS.md)
+                convention, route drift; see docs/STATIC_ANALYSIS.md)
 ``info``        show a ``.frz``/``.frzs`` file's metadata
 ``datasets``    print the Table III analog of the bundled synthetic datasets
 """
@@ -394,9 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="static analysis: locks, clocks, wire protocol, banned patterns",
         description="Dependency-free AST lint over src/repro: guarded-by "
                     "lock discipline and lock-order cycles (LOCK*), the "
-                    "monotonic-clock convention (MONO*), wire-protocol "
-                    "drift between server/gateway/client (WIRE*), and "
-                    "banned patterns (BAN*).  Exits 1 on any new finding. "
+                    "monotonic-clock convention (MONO*), route drift "
+                    "between server/gateway/client (WIRE001), and "
+                    "banned patterns (BAN*).  Exits 1 on any finding. "
                     "See docs/STATIC_ANALYSIS.md.",
     )
     from repro.analysis.engine import build_check_parser
@@ -490,7 +490,7 @@ def _cmd_decompress(args) -> int:
     request = CompressionRequest(kind="decompress", input=args.input,
                                  output=args.output)
     report = api_execute(api_plan(request))
-    if report.from_stream:
+    if report.streamed:
         print(f"decompressed {report.compressor} streamed container "
               f"({report.n_chunks} chunks, ratio {report.ratio:.2f}:1) "
               f"-> {report.output}")

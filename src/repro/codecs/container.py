@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 from repro.codecs.varint import decode_uvarint, encode_uvarint
+from repro.errors import CorruptPayloadError
 
 __all__ = ["Container", "ContainerWriter", "ContainerReader", "is_streamed_container"]
 
@@ -89,25 +90,48 @@ class Container:
 
     @classmethod
     def frombytes(cls, blob: bytes) -> "Container":
+        """Parse a version-1 container.
+
+        Raises :class:`~repro.errors.CorruptPayloadError` for bytes
+        :meth:`tobytes` could not have written; every declared length is
+        checked against the bytes left before it is used to slice.
+        """
         if blob[:4] != _MAGIC:
-            raise ValueError("not a FRZC container")
-        if blob[4] != _VERSION:
-            raise ValueError(f"unsupported container version {blob[4]}")
+            raise CorruptPayloadError("not a FRZC container")
+        if len(blob) < 5 or blob[4] != _VERSION:
+            raise CorruptPayloadError(
+                f"unsupported container version "
+                f"{blob[4] if len(blob) > 4 else '(missing)'}")
         count, off = decode_uvarint(blob, 5)
+        # A section header is at least two bytes (empty name, zero length).
+        if 2 * count > len(blob) - off:
+            raise CorruptPayloadError(
+                f"container declares {count} sections, {len(blob) - off} bytes left")
         names: list[str] = []
         sizes: list[int] = []
         for _ in range(count):
             nlen, off = decode_uvarint(blob, off)
-            names.append(blob[off : off + nlen].decode("utf-8"))
+            if nlen > len(blob) - off:
+                raise CorruptPayloadError(
+                    f"section name of {nlen} bytes declared, {len(blob) - off} left")
+            try:
+                names.append(blob[off : off + nlen].decode("utf-8"))
+            except UnicodeDecodeError:
+                raise CorruptPayloadError("section name is not UTF-8") from None
             off += nlen
             plen, off = decode_uvarint(blob, off)
             sizes.append(plen)
         out = cls()
         for name, size in zip(names, sizes):
+            if size > len(blob) - off:
+                raise CorruptPayloadError(
+                    f"section {name!r} declares {size} bytes, {len(blob) - off} left")
+            if name in out._sections:
+                raise CorruptPayloadError(f"duplicate section {name!r}")
             out._sections[name] = blob[off : off + size]
             off += size
         if off != len(blob):
-            raise ValueError("container has trailing bytes")
+            raise CorruptPayloadError("container has trailing bytes")
         return out
 
 

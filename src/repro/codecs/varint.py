@@ -43,7 +43,7 @@ def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
     pos = offset
     while True:
         if pos >= len(data):
-            raise ValueError("truncated uvarint")
+            raise CorruptPayloadError("truncated uvarint")
         byte = data[pos]
         pos += 1
         value |= (byte & 0x7F) << shift

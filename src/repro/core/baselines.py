@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.evalcache import EvalCache
+from repro.core.loss import acceptance_band
 from repro.core.results import TrainingResult
 from repro.pressio.closures import RatioFunction
 from repro.pressio.compressor import Compressor
@@ -45,8 +46,7 @@ def binary_search_ratio(
     lo = default_lo if lower is None else float(lower)
     hi = default_hi if upper is None else float(upper)
     ratio_fn = RatioFunction(compressor, data, cache=cache)
-    lo_band = target_ratio * (1.0 - tolerance)
-    hi_band = target_ratio * (1.0 + tolerance)
+    lo_band, hi_band = acceptance_band(target_ratio, tolerance)
 
     feasible = False
     while ratio_fn.evaluations < max_calls and hi - lo > 1e-15 * (default_hi - default_lo):
@@ -101,8 +101,7 @@ def grid_search_ratio(
         grid = np.linspace(lo, hi, points)
 
     ratio_fn = RatioFunction(compressor, data, cache=cache)
-    lo_band = target_ratio * (1.0 - tolerance)
-    hi_band = target_ratio * (1.0 + tolerance)
+    lo_band, hi_band = acceptance_band(target_ratio, tolerance)
     feasible = False
     for e in grid:
         ratio = ratio_fn(float(e))

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.cache.evalcache import EvalCache
 from repro.core.fields import tune_fields, tune_time_series
+from repro.core.loss import acceptance_band
 from repro.core.results import FieldResult, TimeSeriesResult, TrainingResult
 from repro.core.training import DEFAULT_OVERLAP, DEFAULT_REGIONS, train
 from repro.parallel.executor import BaseExecutor, make_executor
@@ -88,10 +89,7 @@ class FRaZ:
     _cache: EvalCache | None = dataclass_field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.target_ratio <= 0:
-            raise ValueError(f"target_ratio must be positive, got {self.target_ratio}")
-        if not 0 < self.tolerance < 1:
-            raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance}")
+        acceptance_band(self.target_ratio, self.tolerance)  # validates both
         self._compressor = (
             make_compressor(self.compressor)
             if isinstance(self.compressor, str)

@@ -23,7 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["DEFAULT_GAMMA", "clamped_square_loss", "clamped_absolute_loss", "cutoff_for"]
+__all__ = [
+    "DEFAULT_GAMMA",
+    "clamped_square_loss",
+    "clamped_absolute_loss",
+    "cutoff_for",
+    "acceptance_band",
+]
 
 DEFAULT_GAMMA = 0.8 * float(np.finfo(np.float64).max)
 
@@ -74,3 +80,14 @@ def cutoff_for(target_ratio: float, tolerance: float, squared: bool = True) -> f
     are acceptable (Sec. V-B3)."""
     base = tolerance * target_ratio
     return base**2 if squared else base
+
+
+def acceptance_band(target_ratio: float, tolerance: float) -> tuple[float, float]:
+    """The ratios that count as hitting the target (Sec. V-B3):
+    ``lo <= rho <= hi`` with ``(lo, hi) = (rho_t (1 - eps), rho_t (1 + eps))``.
+    Both edges are inside the band."""
+    if target_ratio <= 0:
+        raise ValueError(f"target_ratio must be positive, got {target_ratio}")
+    if not 0 < tolerance < 1:
+        raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
+    return target_ratio * (1.0 - tolerance), target_ratio * (1.0 + tolerance)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.loss import acceptance_band
 from repro.core.training import DEFAULT_OVERLAP, DEFAULT_REGIONS, train
 from repro.parallel.executor import BaseExecutor
 from repro.pressio.compressor import CompressedField, Compressor
@@ -113,10 +114,6 @@ class OnlineFRaZ:
     _drift: DriftMonitor = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.target_ratio <= 0:
-            raise ValueError(f"target_ratio must be positive, got {self.target_ratio}")
-        if not 0 < self.tolerance < 1:
-            raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance}")
         if isinstance(self.compressor, str):
             self.compressor = make_compressor(self.compressor)
         self._drift = DriftMonitor(
@@ -126,10 +123,7 @@ class OnlineFRaZ:
     # ------------------------------------------------------------------
     @property
     def band(self) -> tuple[float, float]:
-        return (
-            self.target_ratio * (1.0 - self.tolerance),
-            self.target_ratio * (1.0 + self.tolerance),
-        )
+        return acceptance_band(self.target_ratio, self.tolerance)
 
     def _drift_predicted(self) -> bool:
         """Pre-emptive retrain signal from the rolling ratio trend."""

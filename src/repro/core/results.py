@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.loss import acceptance_band
+
 __all__ = ["WorkerResult", "TrainingResult", "TimeSeriesResult", "FieldResult"]
 
 
@@ -46,8 +48,7 @@ class TrainingResult:
 
     @property
     def within_tolerance(self) -> bool:
-        lo = self.target_ratio * (1.0 - self.tolerance)
-        hi = self.target_ratio * (1.0 + self.tolerance)
+        lo, hi = acceptance_band(self.target_ratio, self.tolerance)
         return lo <= self.ratio <= hi
 
     @property

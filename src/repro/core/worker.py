@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.evalcache import EvalCache
-from repro.core.loss import clamped_square_loss, cutoff_for
+from repro.core.loss import acceptance_band, clamped_square_loss, cutoff_for
 from repro.core.results import WorkerResult
 from repro.optimize import find_global_min
 from repro.pressio.closures import RatioFunction
@@ -59,14 +59,9 @@ def worker_task(
         worker or time-step already paid for are answered without
         compressing.
     """
-    if target_ratio <= 0:
-        raise ValueError(f"target ratio must be positive, got {target_ratio}")
-    if not 0 < tolerance < 1:
-        raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
+    lo_band, hi_band = acceptance_band(target_ratio, tolerance)
     lower, upper = region
     ratio_fn = RatioFunction(compressor, data, cache=cache)
-    lo_band = target_ratio * (1.0 - tolerance)
-    hi_band = target_ratio * (1.0 + tolerance)
 
     # Lines 1-6: try the prediction first and return immediately on success.
     if prediction is not None and prediction > 0:

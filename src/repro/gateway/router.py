@@ -41,7 +41,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro import __version__
 from repro.errors import (
@@ -60,6 +60,7 @@ from repro.serve.client import (
     ServiceError,
     ServiceUnavailableError,
 )
+from repro.serve.http import result_body, ticket_body
 from repro.serve.jobs import JobSpec
 from repro.util.concurrency import guarded_by
 
@@ -83,19 +84,6 @@ class RouterStats:
     node_failures: int = 0
     acked: int = 0
     no_capacity: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "routed": self.routed,
-            "completed": self.completed,
-            "failed": self.failed,
-            "requeued": self.requeued,
-            "reroutes": self.reroutes,
-            "node_failures": self.node_failures,
-            "acked": self.acked,
-            "no_capacity": self.no_capacity,
-        }
 
 
 @dataclass
@@ -366,11 +354,11 @@ class Router:
             self.stats.submitted += 1
         root = self.tracer.start_trace(
             "gateway_job", context=trace_context,
-            attrs={"job_id": gid, "kind": spec.kind})
+            attrs={"job_id": gid, "kind": spec.request.kind})
         job.trace_root = root
         job.trace_id = root.trace_id
         self.logger.event("job_submitted", trace_id=job.trace_id, job_id=gid,
-                          kind=spec.kind)
+                          kind=spec.request.kind)
         try:
             self._forward(job)
         except (NoCapacityError, BackpressureError) as exc:
@@ -381,14 +369,8 @@ class Router:
                 root.record_error(exc)
                 self.tracer.finish_span(root)
             raise
-        ticket = {
-            "job_id": job.id,
-            "state": "queued",
-            "node": job.node_id,
-            "coalesced_into": job.coalesced_into,
-            "trace_id": job.trace_id,
-        }
-        return job, ticket
+        return job, ticket_body(job.id, "queued", job.coalesced_into,
+                                job.trace_id, node=job.node_id)
 
     def get(self, gid: str) -> RoutedJob | None:
         with self._lock:
@@ -426,14 +408,10 @@ class Router:
             record = self.registry.get(job.node_id) if job.node_id else None
             if record is not None and record.state in NodeState.ALIVE:
                 self._fetch_result(job, record, only_if_done=True)
-        if job.state == "done":
-            return 200, {"job_id": job.id, "state": "done",
-                         "coalesced_into": job.coalesced_into,
-                         "result": job.result, "error": None}
-        if job.state == "failed":
-            return 200, {"job_id": job.id, "state": "failed",
-                         "coalesced_into": job.coalesced_into,
-                         "result": None, "error": job.error}
+        if job.finished:
+            # _finish stores exactly one of result/error, None for the other.
+            return 200, result_body(job.id, job.state, job.coalesced_into,
+                                    job.result, job.error)
         return 202, {"job_id": job.id, "state": "queued",
                      "node": job.node_id, "failovers": job.failovers}
 
@@ -762,7 +740,7 @@ class Router:
         with self._lock:
             # Ledger reads under the lock: job states and counters move
             # together, so /stats never shows a torn snapshot.
-            jobs = self.stats.as_dict()
+            jobs = asdict(self.stats)
             inflight = sum(1 for j in self._jobs.values() if not j.finished)
         payload = {
             "uptime_seconds": round(time.monotonic() - self._started_mono, 3),

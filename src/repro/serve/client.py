@@ -79,9 +79,9 @@ class ProtocolError(ServiceError):
 
     Raised instead of ``KeyError``/``JSONDecodeError`` so callers can tell "the service
     broke its contract" apart from their own bugs, and so the offending
-    ``body`` travels with the exception.  The ``repro check`` wire-drift
-    checker (``WIRE001``/``WIRE002``) guards the same contract at lint
-    time; this is the runtime backstop for servers outside this tree.
+    ``body`` travels with the exception.  In this tree both tiers build
+    those bodies with one function each (``serve/http.py``); this is the
+    runtime backstop for servers outside it.
     """
 
 

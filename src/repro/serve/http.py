@@ -14,6 +14,9 @@ drift apart on the wire:
   value names the handler method.  Subclasses spread the base table into
   their own (``{**JsonHandler.ROUTES, ...}``); the ``WIRE001`` checker
   reads these literals, so a route exists exactly when it is declared.
+* :func:`ticket_body` / :func:`result_body` — the ``202`` submit ticket
+  and the terminal ``/result`` record, each built here and nowhere else,
+  so a client reads the same keys off a node and off the gateway.
 * :class:`HttpService` — the listener lifecycle (bind, background or
   blocking serve, shutdown, context manager) that ``ServiceServer`` and
   ``GatewayServer`` subclass with only their backend start/stop hooks.
@@ -38,10 +41,29 @@ from repro.errors import RequestError
 from repro.obs.exposition import CONTENT_TYPE
 from repro.obs.trace import TRACEPARENT_HEADER, TraceContext
 
-__all__ = ["JsonHandler", "HttpService", "MAX_BODY_BYTES"]
+__all__ = ["JsonHandler", "HttpService", "MAX_BODY_BYTES", "ticket_body",
+           "result_body"]
 
 #: Largest accepted request body (inline arrays ride in submits).
 MAX_BODY_BYTES = 256 * 2**20
+
+
+def ticket_body(job_id: str, state: str, coalesced_into: str | None,
+                trace_id: str | None, **placement) -> dict:
+    """The ``202`` body of an accepted submit.
+
+    ``placement`` is what only a gateway knows (``node=<owning shard>``);
+    it travels between ``state`` and ``coalesced_into``.
+    """
+    return {"job_id": job_id, "state": state, **placement,
+            "coalesced_into": coalesced_into, "trace_id": trace_id}
+
+
+def result_body(job_id: str, state: str, coalesced_into: str | None,
+                result: dict | None, error: str | None) -> dict:
+    """The ``200`` body of ``GET /result/<id>`` once the job is terminal."""
+    return {"job_id": job_id, "state": state, "coalesced_into": coalesced_into,
+            "result": result, "error": error}
 
 
 class JsonHandler(BaseHTTPRequestHandler):

@@ -1,13 +1,14 @@
 """Typed job records for the compression service.
 
-A :class:`JobSpec` is the *request*: a thin, frozen serialization of the
-shared :class:`~repro.api.request.CompressionRequest` type plus the two
-scheduling fields only the service cares about (``priority`` and
-``max_retries``).  All semantic validation lives in the request type —
-``JobSpec`` merely flattens it onto the wire, so a request submitted via
-the Python facade, the CLI, or HTTP JSON is the *same object* by the
-time the scheduler sees it.  Legacy flat JSON (pre-``options``/
-``resources``) is still accepted: the new fields simply default.
+A :class:`JobSpec` is the *request*: the shared
+:class:`~repro.api.request.CompressionRequest` plus the two scheduling
+fields only the service cares about (``priority`` and ``max_retries``).
+All semantic validation lives in the request type, and the wire dict is
+the request's own with the scheduling fields appended, so a request
+submitted via the Python facade, the CLI, or HTTP JSON is the *same
+object* by the time the scheduler sees it.  Legacy flat JSON
+(pre-``options``/``resources``) is still accepted: the new fields simply
+default.
 
 A :class:`Job` is the *lifecycle record* the scheduler tracks for it:
 state transitions, attempt counts against the retry budget, timestamps,
@@ -92,94 +93,24 @@ _FINISHED = frozenset({JobState.DONE, JobState.FAILED, JobState.CANCELLED})
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One unit of service work: a flattened request plus scheduling.
+    """One unit of service work: a validated request plus scheduling.
 
-    Every field except ``priority`` and ``max_retries`` mirrors the
-    :class:`~repro.api.request.CompressionRequest` field of the same
-    name, and validation is delegated to it — constructing a ``JobSpec``
-    *is* constructing the request (exposed via :attr:`request`).
-
-    ``priority`` orders the queue (lower runs sooner; see
+    ``request`` carries everything that defines the work and owns its
+    validation.  ``priority`` orders the queue (lower runs sooner; see
     :data:`PRIORITY_HIGH`/:data:`PRIORITY_NORMAL`/:data:`PRIORITY_LOW`).
     ``max_retries`` is the number of *additional* attempts the scheduler
     may make after a failure.
     """
 
-    kind: str
-    compressor: str = "sz"
-    target_ratio: float | None = None
-    error_bound: float | None = None
-    tolerance: float = 0.1
-    max_error_bound: float | None = None
-    input: str | None = None
-    data_b64: str | None = None
-    output: str | None = None
+    request: CompressionRequest
     priority: int = PRIORITY_NORMAL
     max_retries: int = 1
-    stream: bool | None = None
-    options: dict = field(default_factory=dict)
-    stream_options: dict = field(default_factory=dict)
-    resources: Resources = field(default_factory=Resources)
 
     def __post_init__(self) -> None:
-        request = CompressionRequest(
-            kind=self.kind,
-            compressor=self.compressor,
-            options=self.options,
-            target_ratio=self.target_ratio,
-            error_bound=self.error_bound,
-            tolerance=self.tolerance,
-            max_error_bound=self.max_error_bound,
-            input=self.input,
-            data_b64=self.data_b64,
-            output=self.output,
-            stream=self.stream,
-            stream_options=self.stream_options,
-            resources=self.resources,
-        )
-        # Store the canonical (normalised) copies so equality and the
-        # wire format are independent of how the caller spelled them.
-        object.__setattr__(self, "options", request.options)
-        object.__setattr__(self, "stream_options", request.stream_options)
-        object.__setattr__(self, "resources", request.resources)
-        object.__setattr__(self, "_request", request)
         if isinstance(self.priority, bool) or not isinstance(self.priority, int):
             raise RequestError(f"priority must be an int, got {self.priority!r}")
         if not isinstance(self.max_retries, int) or self.max_retries < 0:
             raise RequestError(f"max_retries must be an int >= 0, got {self.max_retries!r}")
-
-    # -- the shared request ------------------------------------------------
-    @property
-    def request(self) -> CompressionRequest:
-        """The validated :class:`CompressionRequest` this spec serialises."""
-        return self._request  # type: ignore[attr-defined]
-
-    @classmethod
-    def from_request(
-        cls,
-        request: CompressionRequest,
-        *,
-        priority: int = PRIORITY_NORMAL,
-        max_retries: int = 1,
-    ) -> "JobSpec":
-        """Wrap a shared request with the service's scheduling fields."""
-        return cls(
-            kind=request.kind,
-            compressor=request.compressor,
-            target_ratio=request.target_ratio,
-            error_bound=request.error_bound,
-            tolerance=request.tolerance,
-            max_error_bound=request.max_error_bound,
-            input=request.input,
-            data_b64=request.data_b64,
-            output=request.output,
-            priority=priority,
-            max_retries=max_retries,
-            stream=request.stream,
-            options=request.options,
-            stream_options=request.stream_options,
-            resources=request.resources,
-        )
 
     # -- data access ------------------------------------------------------
     def load_array(self) -> np.ndarray:
@@ -200,9 +131,10 @@ class JobSpec:
         ``(realpath, size, mtime_ns)`` so a rewritten file stops matching
         without the server having to read it at submit time.
         """
-        if self.data_b64 is not None:
-            return hashlib.blake2b(self.data_b64.encode("ascii"), digest_size=16).hexdigest()
-        path = os.path.realpath(self.input)
+        request = self.request
+        if request.data_b64 is not None:
+            return hashlib.blake2b(request.data_b64.encode("ascii"), digest_size=16).hexdigest()
+        path = os.path.realpath(request.input)
         try:
             st = os.stat(path)
             return f"{path}:{st.st_size}:{st.st_mtime_ns}"
@@ -219,18 +151,19 @@ class JobSpec:
         worker counts) do not: a high- and a low-priority request for
         the same work coalesce.
         """
+        request = self.request
         parts = (
-            self.kind,
-            self.compressor,
-            repr(sorted(self.options.items())),
-            repr(self.target_ratio),
-            repr(self.error_bound),
-            repr(self.tolerance),
-            repr(self.max_error_bound),
-            repr(self.stream),
-            repr(sorted(self.stream_options.items())),
-            repr(self.resources.max_memory),
-            self.output or "",
+            request.kind,
+            request.compressor,
+            repr(sorted(request.options.items())),
+            repr(request.target_ratio),
+            repr(request.error_bound),
+            repr(request.tolerance),
+            repr(request.max_error_bound),
+            repr(request.stream),
+            repr(sorted(request.stream_options.items())),
+            repr(request.resources.max_memory),
+            request.output or "",
             self.data_token(),
         )
         return hashlib.blake2b("|".join(parts).encode(), digest_size=16).hexdigest()
@@ -238,10 +171,8 @@ class JobSpec:
     # -- wire format -------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-ready dict: the request serialization + scheduling fields."""
-        payload = self.request.to_dict()
-        payload["priority"] = self.priority
-        payload["max_retries"] = self.max_retries
-        return payload
+        return {**self.request.to_dict(), "priority": self.priority,
+                "max_retries": self.max_retries}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JobSpec":
@@ -274,7 +205,7 @@ class JobSpec:
                 "job spec requires a kind ('tune', 'compress', 'decompress' or 'stream')"
             )
         scheduling = {k: data.pop(k) for k in _SCHEDULING_FIELDS if k in data}
-        return cls.from_request(CompressionRequest.from_dict(data), **scheduling)
+        return cls(CompressionRequest.from_dict(data), **scheduling)
 
 
 @dataclass
@@ -359,7 +290,7 @@ class Job:
         """JSON-ready status record (``/status/<id>`` body)."""
         return {
             "job_id": self.id,
-            "kind": self.spec.kind,
+            "kind": self.spec.request.kind,
             "state": self.state.value,
             "priority": self.spec.priority,
             "attempts": self.attempts,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.errors import StateError
 from repro.serve.jobs import Job, JobState
@@ -55,15 +55,6 @@ class QueueStats:
     cancelled: int = 0
     compactions: int = 0
     max_depth: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "enqueued": self.enqueued,
-            "rejected": self.rejected,
-            "cancelled": self.cancelled,
-            "compactions": self.compactions,
-            "max_depth": self.max_depth,
-        }
 
 
 @guarded_by("_cond", "_heap", "_members", "_cancelled_ids", "stats")
@@ -176,5 +167,5 @@ class JobQueue:
             return {
                 "depth": self._depth_locked(),
                 "capacity": self.maxsize,
-                **self.stats.as_dict(),
+                **asdict(self.stats),
             }

@@ -67,7 +67,7 @@ import time
 from collections import deque
 from concurrent.futures import CancelledError, Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -228,44 +228,34 @@ def _process_execute(
     return payload, evals, calls, streamed, delta
 
 
+def _counter(section: str):
+    """A counter field listed in the ``/stats`` block named ``section``."""
+    return field(default=0, metadata={"section": section})
+
+
 @dataclass
 class SchedulerStats:
     """Service-level counters (jobs and search probes)."""
 
-    submitted: int = 0
-    coalesced: int = 0
-    completed: int = 0
-    failed: int = 0
-    retried: int = 0
-    cancelled: int = 0
-    running: int = 0
-    streamed: int = 0
+    submitted: int = _counter("jobs")
+    coalesced: int = _counter("jobs")
+    completed: int = _counter("jobs")
+    failed: int = _counter("jobs")
+    retried: int = _counter("jobs")
+    cancelled: int = _counter("jobs")
+    running: int = _counter("jobs")
+    streamed: int = _counter("jobs")
     crashes: int = 0
     discarded: int = 0
-    evaluations: int = 0
-    compressor_calls: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
+    evaluations: int = _counter("search")
+    compressor_calls: int = _counter("search")
+    cache_hits: int = _counter("search")
+    cache_misses: int = _counter("search")
 
-    def jobs_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "coalesced": self.coalesced,
-            "completed": self.completed,
-            "failed": self.failed,
-            "retried": self.retried,
-            "cancelled": self.cancelled,
-            "running": self.running,
-            "streamed": self.streamed,
-        }
-
-    def search_dict(self) -> dict:
-        return {
-            "evaluations": self.evaluations,
-            "compressor_calls": self.compressor_calls,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
+    def section(self, name: str) -> dict:
+        """The counters declared for one ``/stats`` block, in declared order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.metadata.get("section") == name}
 
 
 @guarded_by("_lock", "_jobs", "_inflight", "_futures", "_history", "stats")
@@ -505,7 +495,7 @@ class Scheduler:
 
     def _observe_job(self, job: Job) -> None:
         if self._job_seconds is not None and job.total_seconds is not None:
-            self._job_seconds.labels(kind=job.spec.kind).observe(job.total_seconds)
+            self._job_seconds.labels(kind=job.spec.request.kind).observe(job.total_seconds)
 
     def metrics_text(self) -> str:
         """The Prometheus text exposition (the ``GET /metrics`` body)."""
@@ -620,14 +610,14 @@ class Scheduler:
             self._jobs[job_id] = job
             self.stats.submitted += 1
             self.logger.event("job_submitted", trace_id=job.trace_id,
-                              job_id=job.id, kind=spec.kind)
+                              job_id=job.id, kind=spec.request.kind)
             return job
 
     def _start_job_trace(self, job: Job, context: TraceContext | None) -> None:
         """Open the job's root span (one per job, followers included)."""
         root = self.tracer.start_trace(
             "job", context=context,
-            attrs={"job_id": job.id, "kind": job.spec.kind})
+            attrs={"job_id": job.id, "kind": job.spec.request.kind})
         if root.is_recording and job.coalesced_into is not None:
             root.set_attr("coalesced_into", job.coalesced_into)
         job.trace_root = root
@@ -885,7 +875,7 @@ class Scheduler:
             self.tracer.record_span(
                 "job", trace_id=root.trace_id, start=job.submitted_at,
                 duration=job.total_seconds, status="error", error=job.error,
-                attrs={"job_id": job.id, "kind": job.spec.kind,
+                attrs={"job_id": job.id, "kind": job.spec.request.kind,
                        "forced_sample": True})
         if job.trace_id is not None:
             self.tracer.store.finish_trace(job.trace_id, job.total_seconds,
@@ -973,17 +963,19 @@ class Scheduler:
         arrays out of the job pickle bounds the pool pipe traffic, and a
         file input also becomes eligible for the out-of-core stream route.
         """
-        if spec.data_b64 is None:
+        request = spec.request
+        if request.data_b64 is None:
             return spec, None
         # The threshold is documented in decoded (array) bytes; base64 is
         # 4/3 the size of what it encodes.
-        if len(spec.data_b64) * 3 // 4 <= self.spill_threshold:
+        if len(request.data_b64) * 3 // 4 <= self.spill_threshold:
             return spec, None
-        data = spec.load_array()
+        data = request.load_array()
         fd, path = tempfile.mkstemp(prefix="repro-serve-spill-", suffix=".npy")
         with os.fdopen(fd, "wb") as fh:
             np.save(fh, data, allow_pickle=False)
-        return replace(spec, data_b64=None, input=path), path
+        spilled = replace(request, data_b64=None, input=path)
+        return replace(spec, request=spilled), path
 
     def _execute(self, job: Job) -> tuple[dict, int, int, bool]:
         """Thread backend: run the job on this dispatcher thread."""
@@ -1060,8 +1052,8 @@ class Scheduler:
                 "paused": self.paused,
                 "executor": executor,
                 "queue": self._queue.stats_dict(),
-                "jobs": self.stats.jobs_dict(),
-                "search": self.stats.search_dict(),
+                "jobs": self.stats.section("jobs"),
+                "search": self.stats.section("search"),
                 "cache": None,
                 "metrics": None,
                 "trace": self.tracer.stats_dict(),

@@ -41,7 +41,7 @@ reports the ``trace_id`` either way).
 from __future__ import annotations
 
 from repro import __version__
-from repro.serve.http import HttpService, JsonHandler
+from repro.serve.http import HttpService, JsonHandler, result_body, ticket_body
 from repro.serve.jobs import JobSpec
 from repro.serve.queue import QueueFull
 from repro.serve.scheduler import Scheduler
@@ -77,12 +77,8 @@ class _Handler(JsonHandler):
                 headers={"Retry-After": f"{exc.retry_after:g}"},
             )
             return
-        self.send_json(202, {
-            "job_id": job.id,
-            "state": job.state.value,
-            "coalesced_into": job.coalesced_into,
-            "trace_id": job.trace_id,
-        })
+        self.send_json(202, ticket_body(
+            job.id, job.state.value, job.coalesced_into, job.trace_id))
 
     def post_cancel(self, job_id: str) -> None:
         job = self.backend.get(job_id)
@@ -108,13 +104,9 @@ class _Handler(JsonHandler):
         elif not job.finished:
             self.send_json(202, {"job_id": job.id, "state": job.state.value})
         else:
-            self.send_json(200, {
-                "job_id": job.id,
-                "state": job.state.value,
-                "coalesced_into": job.coalesced_into,
-                "result": job.result,
-                "error": job.error,
-            })
+            self.send_json(200, result_body(
+                job.id, job.state.value, job.coalesced_into, job.result,
+                job.error))
 
     def get_stats(self) -> None:
         payload = self.backend.stats_payload()

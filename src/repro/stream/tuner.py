@@ -28,6 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.cache.evalcache import EvalCache
+from repro.core.loss import acceptance_band
 from repro.core.online import DriftMonitor
 from repro.core.training import DEFAULT_OVERLAP, DEFAULT_REGIONS, train
 from repro.parallel.executor import BaseExecutor
@@ -69,20 +70,13 @@ class ChunkTuner:
     _drift: DriftMonitor = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.target_ratio <= 0:
-            raise ValueError(f"target_ratio must be positive, got {self.target_ratio}")
-        if not 0 < self.tolerance < 1:
-            raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance}")
         self._drift = DriftMonitor(
             band=self.band, margin=self.drift_margin, window=self.drift_window
         )
 
     @property
     def band(self) -> tuple[float, float]:
-        return (
-            self.target_ratio * (1.0 - self.tolerance),
-            self.target_ratio * (1.0 + self.tolerance),
-        )
+        return acceptance_band(self.target_ratio, self.tolerance)
 
     def in_band(self, ratio: float) -> bool:
         lo, hi = self.band

@@ -11,10 +11,9 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SRC = REPO_ROOT / "src" / "repro"
 
 
-def check_paths(*paths, baseline=None):
-    """Run every checker over ``paths`` with caching off."""
-    return run_checks([str(p) for p in paths], root=str(REPO_ROOT),
-                      baseline=baseline, use_cache=False)
+def check_paths(*paths):
+    """Run every checker over ``paths``."""
+    return run_checks([str(p) for p in paths], root=str(REPO_ROOT))
 
 
 def findings_for(rule, report):

@@ -3,8 +3,7 @@
 
 class Client:
     def submit(self):
-        status, ticket = self._request("POST", "/submit")
-        return ticket["node"]  # SEEDED: ticket-key-drift
+        return self._request("POST", "/submit")
 
     def result(self, job_id):
         return self._request("GET", f"/resultz/{job_id}")  # SEEDED: route-drift

@@ -15,7 +15,7 @@ DRIFT = FIXTURES / "exportdrift"
 
 
 def _dead_findings():
-    report = run_checks([str(DRIFT)], root=str(DRIFT), use_cache=False)
+    report = run_checks([str(DRIFT)], root=str(DRIFT))
     return [f for f in report.findings if f.rule == "DEAD001"]
 
 

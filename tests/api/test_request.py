@@ -194,16 +194,16 @@ class TestJobSpecEquivalence:
         assert {k: v for k, v in spec.to_dict().items()
                 if k not in ("priority", "max_retries")} == req.to_dict()
 
-    def test_from_request_round_trip(self, data):
+    def test_spec_wraps_the_request(self, data):
         req = tune_request(data)
-        spec = JobSpec.from_request(req, priority=PRIORITY_HIGH)
+        spec = JobSpec(req, priority=PRIORITY_HIGH)
         assert spec.request == req
         assert spec.priority == PRIORITY_HIGH
 
     def test_options_split_coalesce_keys(self, data):
-        a = JobSpec.from_request(tune_request(data))
-        b = JobSpec.from_request(tune_request(data, options={"block_size": 4}))
+        a = JobSpec(tune_request(data))
+        b = JobSpec(tune_request(data, options={"block_size": 4}))
         assert a.coalesce_key() != b.coalesce_key()
         # resources that don't change bytes do not split keys
-        c = JobSpec.from_request(tune_request(data, resources={"workers": 7}))
+        c = JobSpec(tune_request(data, resources={"workers": 7}))
         assert a.coalesce_key() == c.coalesce_key()

@@ -8,6 +8,7 @@ from repro.codecs.interface import get_byte_codec, list_byte_codecs
 from repro.codecs.lz77 import LZ77Codec, lz77_compress, lz77_decompress
 from repro.codecs.rle import rle_decode, rle_encode
 from repro.codecs.zlib_codec import ZlibCodec
+from repro.errors import CorruptPayloadError
 
 
 class TestLZ77:
@@ -114,15 +115,22 @@ class TestContainer:
         c.add("x", b"1")
         assert "x" in c and "y" not in c
 
-    def test_bad_magic(self):
-        with pytest.raises(ValueError):
-            Container.frombytes(b"XXXX\x01\x00")
-
-    def test_trailing_bytes_detected(self):
-        c = Container()
-        c.add("x", b"1")
-        with pytest.raises(ValueError):
-            Container.frombytes(c.tobytes() + b"junk")
+    @pytest.mark.parametrize("blob", [
+        b"XXXX\x01\x00",                   # bad magic
+        b"FRZC",                            # no version byte
+        b"FRZC\x02\x00",                   # the streamed layout's version
+        b"FRZC\x01",                        # no section count
+        b"FRZC\x01\x7f",                   # 127 sections declared, none present
+        b"FRZC\x01\x01\x05ab",             # name longer than the bytes left
+        b"FRZC\x01\x01\x02\xff\xfe\x00",   # name is not UTF-8
+        b"FRZC\x01\x01\x01x\x09abc",       # payload longer than the bytes left
+        b"FRZC\x01\x02\x01x\x01\x01x\x01ab",  # the same name twice
+        b"FRZC\x01\x01\x01x\x01ajunk",     # trailing bytes
+        b"FRZC\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f",  # 2**70-ish count
+    ])
+    def test_hostile_bytes_raise_typed(self, blob):
+        with pytest.raises(CorruptPayloadError):
+            Container.frombytes(blob)
 
     def test_nbytes_matches_serialisation(self):
         c = Container()

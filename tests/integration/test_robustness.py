@@ -7,6 +7,7 @@ across the parallel backends).
 """
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -60,6 +61,17 @@ class TestCorruptPayloads:
         sz = SZCompressor()
         with pytest.raises(Exception):
             sz.decompress(zfp_payload)
+
+    @pytest.mark.parametrize("comp_name", ["sz", "zfp", "mgard", "sz-interp"])
+    def test_every_proper_prefix_raises_typed(self, comp_name):
+        """No truncation point reads past the end or raises an untyped error."""
+        small = np.linspace(0.0, 1.0, 144, dtype=np.float32).reshape(12, 12)
+        payload = make_compressor(comp_name, error_bound=1e-2).compress(small).payload
+        t0 = time.perf_counter()
+        for cut in range(len(payload)):
+            with pytest.raises(CorruptPayloadError):
+                Container.frombytes(payload[:cut])
+        assert time.perf_counter() - t0 < 2.0
 
     def test_trailing_garbage_rejected(self, field):
         comp = SZCompressor(error_bound=1e-2)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import CompressionRequest
 from repro.serve.jobs import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
+    PRIORITY_NORMAL,
     Job,
     JobSpec,
     JobState,
@@ -17,10 +19,15 @@ def data():
     return np.random.default_rng(7).standard_normal((8, 8)).astype(np.float32)
 
 
-def tune_spec(data, **over):
+def tune_spec(data, *, priority=PRIORITY_NORMAL, max_retries=1, **over):
     base = dict(kind="tune", target_ratio=8.0, data_b64=JobSpec.encode_array(data))
     base.update(over)
-    return JobSpec(**base)
+    return JobSpec(CompressionRequest(**base), priority=priority,
+                   max_retries=max_retries)
+
+
+def request_spec(**fields):
+    return JobSpec(CompressionRequest(**fields))
 
 
 class TestValidation:
@@ -32,11 +39,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="exactly one"):
             tune_spec(data, input="also.npy")
         with pytest.raises(ValueError, match="exactly one"):
-            JobSpec(kind="tune", target_ratio=8.0)
+            request_spec(kind="tune", target_ratio=8.0)
 
     def test_tune_requires_target(self, data):
         with pytest.raises(ValueError, match="target_ratio"):
-            JobSpec(kind="tune", data_b64=JobSpec.encode_array(data))
+            request_spec(kind="tune", data_b64=JobSpec.encode_array(data))
 
     def test_tune_rejects_error_bound(self, data):
         with pytest.raises(ValueError, match="not error_bound"):
@@ -44,15 +51,15 @@ class TestValidation:
 
     def test_compress_requires_output(self, data):
         with pytest.raises(ValueError, match="output"):
-            JobSpec(kind="compress", error_bound=1e-3,
+            request_spec(kind="compress", error_bound=1e-3,
                     data_b64=JobSpec.encode_array(data))
 
     def test_compress_requires_one_objective(self, data):
         b64 = JobSpec.encode_array(data)
         with pytest.raises(ValueError, match="exactly one"):
-            JobSpec(kind="compress", data_b64=b64, output="o.frz")
+            request_spec(kind="compress", data_b64=b64, output="o.frz")
         with pytest.raises(ValueError, match="exactly one"):
-            JobSpec(kind="compress", data_b64=b64, output="o.frz",
+            request_spec(kind="compress", data_b64=b64, output="o.frz",
                     target_ratio=8.0, error_bound=1e-3)
 
     def test_bad_tolerance_priority_retries(self, data):
@@ -123,9 +130,9 @@ class TestCoalesceKey:
     def test_path_token_tracks_file_changes(self, tmp_path, data):
         path = tmp_path / "f.npy"
         np.save(path, data)
-        spec = JobSpec(kind="tune", target_ratio=8.0, input=str(path))
+        spec = request_spec(kind="tune", target_ratio=8.0, input=str(path))
         before = spec.coalesce_key()
-        assert before == JobSpec(kind="tune", target_ratio=8.0, input=str(path)).coalesce_key()
+        assert before == request_spec(kind="tune", target_ratio=8.0, input=str(path)).coalesce_key()
         import os
 
         np.save(path, data + 1.0)

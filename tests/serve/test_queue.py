@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api import CompressionRequest
 from repro.serve.jobs import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
@@ -19,7 +20,8 @@ _B64 = JobSpec.encode_array(np.zeros(4, dtype=np.float32))
 
 
 def make_job(jid: str, priority: int = PRIORITY_NORMAL) -> Job:
-    spec = JobSpec(kind="tune", target_ratio=8.0, data_b64=_B64, priority=priority)
+    spec = JobSpec(CompressionRequest(kind="tune", target_ratio=8.0, data_b64=_B64),
+                   priority=priority)
     return Job(id=jid, spec=spec)
 
 

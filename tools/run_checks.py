@@ -4,10 +4,10 @@
 Equivalent to ``PYTHONPATH=src python -m repro.cli check`` but
 self-contained: fixes up ``sys.path`` so a bare checkout works.
 
-    python tools/run_checks.py --strict
+    python tools/run_checks.py
 
-Exit codes: 0 clean, 1 new findings (or stale baseline under
-``--strict``), 2 usage error.  See ``docs/STATIC_ANALYSIS.md``.
+Exit codes: 0 clean, 1 findings, 2 usage error.  A run writes nothing
+into the checkout.  See ``docs/STATIC_ANALYSIS.md``.
 """
 
 import os
