@@ -65,8 +65,13 @@ class Container:
         self._sections[name] = bytes(payload)
 
     def get(self, name: str) -> bytes:
-        """Fetch a section by name."""
-        return self._sections[name]
+        """Fetch a section by name; a payload without it is corrupt."""
+        try:
+            return self._sections[name]
+        except KeyError:
+            raise CorruptPayloadError(
+                f"section {name!r} missing; container holds {self.names()}"
+            ) from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._sections

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.codecs.interface import ByteCodec, register_byte_codec
 from repro.codecs.varint import decode_uvarint, encode_uvarint
+from repro.errors import CorruptPayloadError
 
 __all__ = ["LZ77Codec", "lz77_compress", "lz77_decompress"]
 
@@ -114,7 +115,7 @@ def lz77_decompress(blob: bytes) -> bytes:
     out = bytearray()
     while len(out) < n:
         if off >= len(blob):
-            raise ValueError("truncated LZ77 stream")
+            raise CorruptPayloadError("truncated LZ77 stream")
         flag = blob[off]
         off += 1
         if flag == 0:
@@ -126,7 +127,7 @@ def lz77_decompress(blob: bytes) -> bytes:
             length += MIN_MATCH
             dist, off = decode_uvarint(blob, off)
             if dist <= 0 or dist > len(out):
-                raise ValueError(f"invalid match distance {dist}")
+                raise CorruptPayloadError(f"invalid match distance {dist}")
             start = len(out) - dist
             if dist >= length:
                 out += out[start : start + length]
@@ -135,9 +136,9 @@ def lz77_decompress(blob: bytes) -> bytes:
                 for i in range(length):
                     out.append(out[start + i])
         else:
-            raise ValueError(f"invalid token flag {flag}")
+            raise CorruptPayloadError(f"invalid token flag {flag}")
     if len(out) != n:
-        raise ValueError("LZ77 output length mismatch")
+        raise CorruptPayloadError("LZ77 output length mismatch")
     return bytes(out)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import zlib
 
 from repro.codecs.interface import ByteCodec, register_byte_codec
+from repro.errors import CorruptPayloadError
 
 __all__ = ["ZlibCodec"]
 
@@ -39,4 +40,7 @@ class ZlibCodec(ByteCodec):
         return obj.compress(data) + obj.flush()
 
     def decompress(self, data: bytes) -> bytes:
-        return zlib.decompress(data)
+        try:
+            return zlib.decompress(data)
+        except zlib.error as exc:
+            raise CorruptPayloadError(f"not a DEFLATE stream: {exc}") from None

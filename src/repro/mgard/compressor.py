@@ -14,19 +14,16 @@ alphabet.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.codecs.container import Container
 from repro.codecs.huffman import HuffmanCodec
-from repro.codecs.interface import get_byte_codec
-from repro.codecs.varint import decode_uvarints, encode_uvarints, zigzag_decode, zigzag_encode
 from repro.errors import CorruptPayloadError
 from repro.mgard.decompose import decompose, detail_sizes, recompose
 from repro.mgard.grid import level_shape, num_levels
-from repro.pressio.arrayio import decode_array_header, encode_array_header
+from repro.pressio import frame
 from repro.pressio.compressor import CompressedField, Compressor
 
 __all__ = ["MGARDCompressor"]
@@ -81,18 +78,8 @@ class MGARDCompressor(Compressor):
 
     # ------------------------------------------------------------------
     def compress(self, data: np.ndarray) -> CompressedField:
-        data = np.asarray(data)
-        self.check_supported(data)
-        if data.dtype not in (np.float32, np.float64):
-            raise TypeError(f"MGARD expects float32/float64 data, got {data.dtype}")
-        if not self.error_bound > 0:
-            raise ValueError(f"error bound must be positive, got {self.error_bound}")
-        if data.size == 0:
-            outer = Container()
-            outer.add("header", self._header(data, 0, float(self.error_bound)))
-            return CompressedField(outer.tobytes(), data.nbytes)
-
-        if self.norm == "inf":
+        data = self._checked_input(data)
+        if self.norm == "inf" or data.size == 0:  # no elements: either norm holds
             return self._compress_abs(data, float(self.error_bound), patch=True)
 
         # L2 norm mode: quantization with uniform half-width tau gives
@@ -114,6 +101,12 @@ class MGARDCompressor(Compressor):
 
     def _compress_abs(self, data: np.ndarray, eb: float, patch: bool) -> CompressedField:
         levels = num_levels(data.shape, self.max_levels)
+        # The header carries the absolute half-width actually applied (for
+        # L2 mode that is the internal tau, not the MSE target), so the
+        # decoder is norm-agnostic.
+        header = frame.write_header(data, eb, (levels, self.radius), self.dict_codec)
+        if data.size == 0:
+            return frame.write_empty(data, header)
         coarse, details = decompose(data, levels)
         det_eps, coarse_eps = _level_budgets(eb, levels)
 
@@ -136,75 +129,43 @@ class MGARDCompressor(Compressor):
 
         if patch:
             # Verify-and-patch against the exact decode path (inf norm).
-            recon = self._reconstruct(data.shape, data.dtype, levels, symbols, escapes, eb)
+            recon = self._reconstruct(
+                data.shape, data.dtype, levels, self.radius, symbols, escapes, eb
+            )
             bad = np.flatnonzero(
                 np.abs(recon.astype(np.float64).ravel() - data.astype(np.float64).ravel())
                 > eb
             )
         else:
             bad = np.zeros(0, dtype=np.int64)
-        inner.add("patch_n", encode_uvarints(np.asarray([bad.size], dtype=np.uint64)))
-        inner.add(
-            "patch_idx",
-            encode_uvarints(zigzag_encode(np.diff(bad, prepend=np.int64(0)))),
-        )
-        inner.add("patch_val", data.ravel()[bad].tobytes())
-
-        body = get_byte_codec(self.dict_codec).compress(inner.tobytes())
-        outer = Container()
-        outer.add("header", self._header(data, levels, eb))
-        outer.add("body", body)
-        return CompressedField(outer.tobytes(), data.nbytes)
-
-    def _header(self, data: np.ndarray, levels: int, applied_bound: float) -> bytes:
-        # The header carries the absolute half-width actually applied (for
-        # L2 mode that is the internal tau, not the MSE target), so the
-        # decoder is norm-agnostic.
-        codec_name = self.dict_codec.encode("utf-8")
-        return (
-            encode_array_header(data)
-            + struct.pack("<d", applied_bound)
-            + encode_uvarints(
-                np.asarray([levels, self.radius, len(codec_name)], dtype=np.uint64)
-            )
-            + codec_name
-        )
+        frame.add_patches(inner, data, bad)
+        return frame.write_body(data, header, inner, self.dict_codec)
 
     # ------------------------------------------------------------------
     def decompress(self, field: CompressedField | bytes) -> np.ndarray:
-        payload = field.payload if isinstance(field, CompressedField) else field
-        outer = Container.frombytes(payload)
-        header = outer.get("header")
-        dtype, shape, off = decode_array_header(header)
-        (eb,) = struct.unpack_from("<d", header, off)
-        off += 8
-        (levels, radius, codec_len), off = decode_uvarints(header, 3, off)
-        codec_name = header[off : off + int(codec_len)].decode("utf-8")
+        header, outer = frame.open_payload(field, self.supported_ndims, n_params=2)
+        if header.size == 0:
+            return frame.read_empty(header, outer)
+        levels, radius = header.params
+        if levels > num_levels(header.shape, levels):
+            raise CorruptPayloadError(f"{levels} levels do not fit shape {header.shape}")
 
-        if int(np.prod(shape)) == 0:
-            return np.zeros(shape, dtype=dtype)
-
-        inner = Container.frombytes(get_byte_codec(codec_name).decompress(outer.get("body")))
-        symbols = HuffmanCodec().decode(inner.get("codes"))
-        escapes = np.frombuffer(inner.get("escapes"), dtype=np.float64)
-
-        recon = self._reconstruct(shape, dtype, int(levels), symbols, escapes, float(eb))
-
-        (n_patch,), _ = decode_uvarints(inner.get("patch_n"), 1, 0)
-        if int(n_patch):
-            deltas, _ = decode_uvarints(inner.get("patch_idx"), int(n_patch), 0)
-            idx = np.cumsum(zigzag_decode(deltas))
-            values = np.frombuffer(inner.get("patch_val"), dtype=dtype)
-            flat = recon.ravel()
-            flat[idx] = values
-            recon = flat.reshape(shape)
-        return recon
+        inner = frame.read_body(header, outer)
+        symbols = frame.read_symbols(inner, header.size, self.name)
+        escapes = frame.read_values(
+            inner.get("escapes"), np.float64, int((symbols == radius).sum()), "escapes"
+        )
+        recon = self._reconstruct(
+            header.shape, header.dtype, levels, radius, symbols, escapes, header.bound
+        )
+        return frame.apply_patches(inner, recon)
 
     def _reconstruct(
         self,
         shape: tuple[int, ...],
         dtype: np.dtype,
         levels: int,
+        radius: int,
         symbols: np.ndarray,
         escapes: np.ndarray,
         eb: float,
@@ -216,14 +177,9 @@ class MGARDCompressor(Compressor):
         epsilons = [coarse_eps] + det_eps
 
         boundaries = np.cumsum(sizes)
-        if symbols.size != boundaries[-1]:
-            raise CorruptPayloadError(
-                f"mgard payload holds {symbols.size} symbols, "
-                f"header declares {boundaries[-1]} coefficients"
-            )
         parts = np.split(symbols, boundaries[:-1])
 
-        esc_mask_all = symbols == self.radius
+        esc_mask_all = symbols == radius
         esc_counts = [int(esc_mask_all[b - s : b].sum()) for s, b in zip(sizes, boundaries)]
         esc_bounds = np.cumsum(esc_counts)
         esc_parts = np.split(escapes, esc_bounds[:-1])
@@ -231,7 +187,7 @@ class MGARDCompressor(Compressor):
         values: list[np.ndarray] = []
         for part, eps, esc in zip(parts, epsilons, esc_parts):
             v = part.astype(np.float64) * (2.0 * eps)
-            mask = part == self.radius
+            mask = part == radius
             v[mask] = esc
             values.append(v)
 

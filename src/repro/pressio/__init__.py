@@ -13,9 +13,11 @@ their differences so that we could write one implementation of the framework"
   FRaZ optimises, with call counting and memoisation.
 * :func:`repro.pressio.evaluate` — one-stop compress/decompress quality
   report used by the benchmarks.
+* :mod:`repro.pressio.frame` — the payload frame (header, body and patch
+  sections) every compressor writes and reads.
 """
 
-from repro.pressio.arrayio import decode_array_header, encode_array_header
+from repro.pressio import frame
 from repro.pressio.closures import RatioFunction
 from repro.pressio.compressor import (
     CompressedField,
@@ -39,10 +41,9 @@ __all__ = [
     "RatioFunction",
     "available_compressors",
     "compressor_option_names",
-    "decode_array_header",
     "describe_compressor",
-    "encode_array_header",
     "evaluate",
+    "frame",
     "make_compressor",
     "register_compressor",
 ]

@@ -169,12 +169,22 @@ class Compressor(ABC):
         """Whether this compressor can handle the array's dimensionality."""
         return np.asarray(data).ndim in self.supported_ndims
 
-    def check_supported(self, data: np.ndarray) -> None:
-        ndim = np.asarray(data).ndim
-        if ndim not in self.supported_ndims:
+    def _checked_input(self, data: np.ndarray) -> np.ndarray:
+        """``data`` as an array, once every ``compress()`` precondition holds:
+        a supported rank, float32/float64 storage, a positive finite bound."""
+        data = np.asarray(data)
+        if not self.supports(data):
             raise ValueError(
-                f"{self.name} supports {self.supported_ndims}-D data, got {ndim}-D"
+                f"{self.name} supports {self.supported_ndims}-D data, got {data.ndim}-D"
             )
+        if data.dtype not in (np.float32, np.float64):
+            raise TypeError(f"{self.name} expects float32/float64 data, got {data.dtype}")
+        if not 0 < self.error_bound < np.inf:
+            raise ValueError(
+                f"{self.name}: {self.mode} parameter must be positive and finite, "
+                f"got {self.error_bound}"
+            )
+        return data
 
     # -- convenience -------------------------------------------------------
     def roundtrip(self, data: np.ndarray) -> tuple[CompressedField, np.ndarray]:

@@ -1,10 +1,9 @@
 """The SZ compression pipeline (prediction -> quantization -> Huffman -> dictionary).
 
-Payload layout: an outer :class:`~repro.codecs.container.Container` with a
-plain-text ``header`` section (shape, dtype, bound, block geometry, codec
-name) and a ``body`` section holding a dictionary-coded *inner* container
-(predictor selection bits, regression coefficients, Huffman-coded
-quantization codes, verbatim literals).
+Payload layout: the ``header`` + ``body`` frame of :mod:`repro.pressio.frame`
+(header integers: block size, radius, regression flag); the inner container
+holds predictor selection bits, regression coefficients, Huffman-coded
+quantization codes and verbatim literals.
 
 Determinism contract: the decompressor replays exactly the arithmetic the
 compressor used — float32 regression coefficients, float64 prediction math,
@@ -14,20 +13,17 @@ the absolute error bound holds for every point (property-tested).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.codecs.container import Container
 from repro.codecs.huffman import HuffmanCodec
-from repro.codecs.interface import get_byte_codec
-from repro.codecs.varint import decode_uvarints, encode_uvarints
 from repro.errors import CorruptPayloadError
-from repro.pressio.arrayio import decode_array_header, encode_array_header
+from repro.pressio import frame
 from repro.pressio.compressor import CompressedField, Compressor
 from repro.sz.blocks import BlockGrid
-from repro.sz.lorenzo import lorenzo_predict_full, wavefront_plan
+from repro.sz.lorenzo import lorenzo_decode, lorenzo_encode, lorenzo_predict_full
 from repro.sz.quantizer import dequantize, quantize
 from repro.sz.regression import fit_full_blocks, predict_full_blocks
 
@@ -103,16 +99,16 @@ class SZCompressor(Compressor):
     # compression
     # ------------------------------------------------------------------
     def compress(self, data: np.ndarray) -> CompressedField:
-        data = np.asarray(data)
-        self.check_supported(data)
-        if data.dtype not in (np.float32, np.float64):
-            raise TypeError(f"SZ expects float32/float64 data, got {data.dtype}")
-        if not self.error_bound > 0:
-            raise ValueError(f"error bound must be positive, got {self.error_bound}")
-        if data.size == 0:
-            return self._compress_empty(data)
-
+        data = self._checked_input(data)
+        # The header carries the *absolute* bound actually applied, so
+        # decompression is mode-agnostic (REL resolves at compress time).
         eb = self._effective_bound(data)
+        header = frame.write_header(
+            data, eb, (self.block_size, self.radius, int(self.use_regression)), self.dict_codec
+        )
+        if data.size == 0:
+            return frame.write_empty(data, header, body=True)
+
         dtype = data.dtype
         shape = data.shape
         n = data.size
@@ -151,16 +147,10 @@ class SZCompressor(Compressor):
             reg_point_mask[idx] = True
 
         # --- stage 1b/2: Lorenzo wavefront over the remaining points ------
-        plan = wavefront_plan(shape)
-        for plane in plan.planes:
-            pts = plane[~reg_point_mask[plane]]
-            if pts.size == 0:
-                continue
-            pred = plan.predict_plane(recon_flat, pts)
-            qr = quantize(flat64[pts], pred, eb, self.radius, dtype)
-            codes_flat[pts] = qr.codes
-            literal_mask[pts[~qr.ok]] = True
-            recon_flat[pts] = np.where(qr.ok, qr.recon, flat_store[pts])
+        lorenzo_encode(
+            shape, flat64, flat_store, eb, self.radius,
+            codes_flat, literal_mask, recon_flat, skip=reg_point_mask,
+        )
 
         # --- stages 3/4: entropy + dictionary coding ----------------------
         symbols = np.where(literal_mask, np.int64(self.radius), codes_flat)
@@ -171,75 +161,33 @@ class SZCompressor(Compressor):
         inner.add("coeffs", coeffs_all[select].tobytes())
         inner.add("codes", HuffmanCodec().encode(symbols))
         inner.add("literals", literals.tobytes())
-        body = get_byte_codec(self.dict_codec).compress(inner.tobytes())
-
-        outer = Container()
-        outer.add("header", self._header(data, eb))
-        outer.add("body", body)
-        return CompressedField(payload=outer.tobytes(), original_nbytes=data.nbytes)
-
-    def _header(self, data: np.ndarray, effective_bound: float) -> bytes:
-        # The header always carries the *absolute* bound actually applied,
-        # so decompression is mode-agnostic (REL resolves at compress time).
-        codec_name = self.dict_codec.encode("utf-8")
-        return (
-            encode_array_header(data)
-            + struct.pack("<d", effective_bound)
-            + encode_uvarints(
-                np.asarray(
-                    [self.block_size, self.radius, int(self.use_regression), len(codec_name)],
-                    dtype=np.uint64,
-                )
-            )
-            + codec_name
-        )
-
-    def _compress_empty(self, data: np.ndarray) -> CompressedField:
-        outer = Container()
-        outer.add("header", self._header(data, float(self.error_bound)))
-        outer.add("body", b"")
-        return CompressedField(payload=outer.tobytes(), original_nbytes=data.nbytes)
+        return frame.write_body(data, header, inner, self.dict_codec)
 
     # ------------------------------------------------------------------
     # decompression
     # ------------------------------------------------------------------
     def decompress(self, field: CompressedField | bytes) -> np.ndarray:
-        payload = field.payload if isinstance(field, CompressedField) else field
-        outer = Container.frombytes(payload)
-        header = outer.get("header")
-        dtype, shape, off = decode_array_header(header)
-        (eb,) = struct.unpack_from("<d", header, off)
-        off += 8
-        (block_size, radius, use_reg, codec_len), off = decode_uvarints(header, 4, off)
-        codec_name = header[off : off + int(codec_len)].decode("utf-8")
+        header, outer = frame.open_payload(field, self.supported_ndims, n_params=3)
+        if header.size == 0:
+            return frame.read_empty(header, outer)
+        dtype, shape, eb, n = header.dtype, header.shape, header.bound, header.size
+        block_size, radius, _ = header.params
 
-        n = int(np.prod(shape)) if shape else 1
-        if n == 0 or len(shape) == 0:
-            return np.zeros(shape, dtype=dtype)
-
-        inner = Container.frombytes(get_byte_codec(codec_name).decompress(outer.get("body")))
-        grid = BlockGrid(shape, int(block_size))
-        select = (
-            np.unpackbits(
-                np.frombuffer(inner.get("select"), dtype=np.uint8),
-                count=grid.n_full_blocks,
-            ).astype(bool)
-            if grid.n_full_blocks
-            else np.zeros(0, dtype=bool)
-        )
-        coeffs = np.frombuffer(inner.get("coeffs"), dtype=np.float32).reshape(
-            -1, len(shape) + 1
-        )
-        symbols = HuffmanCodec().decode(inner.get("codes"))
-        if symbols.size != n:
-            raise CorruptPayloadError(
-                f"sz payload holds {symbols.size} symbols, header declares {n} elements"
-            )
-        literal_mask = symbols == int(radius)
-        literals = np.frombuffer(inner.get("literals"), dtype=dtype)
+        inner = frame.read_body(header, outer)
+        symbols = frame.read_symbols(inner, n, self.name)
+        if block_size < 1:
+            raise CorruptPayloadError(f"block size {block_size}")
+        grid = BlockGrid(shape, block_size)
+        select = frame.unpack_mask(inner.get("select"), grid.n_full_blocks, "select")
+        coeffs = frame.read_values(
+            inner.get("coeffs"), np.float32, int(select.sum()) * (len(shape) + 1), "coeffs"
+        ).reshape(-1, len(shape) + 1)
+        literal_mask = symbols == radius
 
         recon_flat = np.zeros(n, dtype=dtype)
-        recon_flat[literal_mask] = literals
+        recon_flat[literal_mask] = frame.read_values(
+            inner.get("literals"), dtype, int(literal_mask.sum()), "literals"
+        )
 
         reg_point_mask = np.zeros(n, dtype=bool)
         if select.any():
@@ -249,18 +197,9 @@ class SZCompressor(Compressor):
             idx = sel_ids.ravel()
             keep = ~literal_mask[idx]
             recon_flat[idx[keep]] = dequantize(
-                symbols[idx[keep]], preds.ravel()[keep], float(eb), dtype
+                symbols[idx[keep]], preds.ravel()[keep], eb, dtype
             )
             reg_point_mask[idx] = True
 
-        plan = wavefront_plan(tuple(shape))
-        for plane in plan.planes:
-            pts = plane[~reg_point_mask[plane]]
-            if pts.size == 0:
-                continue
-            pred = plan.predict_plane(recon_flat, pts)
-            keep = ~literal_mask[pts]
-            recon_flat[pts[keep]] = dequantize(
-                symbols[pts[keep]], pred[keep], float(eb), dtype
-            )
+        lorenzo_decode(shape, symbols, literal_mask, eb, recon_flat, skip=reg_point_mask)
         return recon_flat.reshape(shape)

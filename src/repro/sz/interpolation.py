@@ -20,19 +20,16 @@ per point (property-tested).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.codecs.container import Container
 from repro.codecs.huffman import HuffmanCodec
-from repro.codecs.interface import get_byte_codec
-from repro.codecs.varint import decode_uvarints, encode_uvarints
 from repro.errors import CorruptPayloadError
-from repro.pressio.arrayio import decode_array_header, encode_array_header
+from repro.pressio import frame
 from repro.pressio.compressor import CompressedField, Compressor
-from repro.sz.lorenzo import wavefront_plan
+from repro.sz.lorenzo import lorenzo_decode, lorenzo_encode
 from repro.sz.quantizer import dequantize, quantize
 
 __all__ = ["SZInterpolationCompressor"]
@@ -50,6 +47,11 @@ def _num_levels(shape: tuple[int, ...], max_levels: int = _MAX_LEVELS) -> int:
             break
         levels += 1
     return levels
+
+
+def _passes(ndim: int, levels: int) -> list[tuple[int, int]]:
+    """(stride, axis) pairs in coding order, finest last."""
+    return [(2**level, axis) for level in range(levels, 0, -1) for axis in range(ndim)]
 
 
 def _pass_slicers(
@@ -128,36 +130,18 @@ class SZInterpolationCompressor(Compressor):
     def with_error_bound(self, error_bound: float) -> "SZInterpolationCompressor":
         return replace(self, error_bound=float(error_bound))
 
-    # -- shared pass schedule -------------------------------------------
-    def _passes(self, shape: tuple[int, ...]) -> list[tuple[int, int]]:
-        """(stride, axis) pairs in coding order, finest last."""
-        levels = _num_levels(shape, self.max_levels)
-        out = []
-        for level in range(levels, 0, -1):
-            stride = 2**level
-            for axis in range(len(shape)):
-                out.append((stride, axis))
-        return out
-
     # -- compression ------------------------------------------------------
     def compress(self, data: np.ndarray) -> CompressedField:
-        data = np.asarray(data)
-        self.check_supported(data)
-        if data.dtype not in (np.float32, np.float64):
-            raise TypeError(f"sz-interp expects float32/float64 data, got {data.dtype}")
-        if not self.error_bound > 0:
-            raise ValueError(f"error bound must be positive, got {self.error_bound}")
-        if data.size == 0:
-            outer = Container()
-            outer.add("header", self._header(data, 0))
-            outer.add("body", b"")
-            return CompressedField(outer.tobytes(), data.nbytes)
-
+        data = self._checked_input(data)
         eb = float(self.error_bound)
         dtype = data.dtype
         shape = data.shape
-        data64 = data.astype(np.float64)
         levels = _num_levels(shape, self.max_levels)
+        header = frame.write_header(data, eb, (levels, self.radius), self.dict_codec)
+        if data.size == 0:
+            return frame.write_empty(data, header, body=True)
+
+        data64 = data.astype(np.float64)
         anchor_stride = 2**levels
 
         recon = np.zeros(shape, dtype=dtype)
@@ -168,24 +152,20 @@ class SZInterpolationCompressor(Compressor):
         # Anchor grid: wavefront Lorenzo on the strided view.
         anchor_sel = (slice(0, None, anchor_stride),) * data.ndim
         anchors = np.ascontiguousarray(data64[anchor_sel])
-        anchors_store = np.ascontiguousarray(data[anchor_sel])
-        plan = wavefront_plan(anchors.shape)
-        a_flat64 = anchors.ravel()
-        a_recon = np.zeros(a_flat64.size, dtype=dtype)
-        a_codes = np.zeros(a_flat64.size, dtype=np.int64)
-        a_lit = np.zeros(a_flat64.size, dtype=bool)
-        for plane in plan.planes:
-            pred = plan.predict_plane(a_recon, plane)
-            qr = quantize(a_flat64[plane], pred, eb, self.radius, dtype)
-            a_codes[plane] = qr.codes
-            a_lit[plane] = ~qr.ok
-            a_recon[plane] = np.where(qr.ok, qr.recon, anchors_store.ravel()[plane])
+        anchors_store = np.ascontiguousarray(data[anchor_sel]).ravel()
+        a_recon = np.zeros(anchors.size, dtype=dtype)
+        a_codes = np.zeros(anchors.size, dtype=np.int64)
+        a_lit = np.zeros(anchors.size, dtype=bool)
+        lorenzo_encode(
+            anchors.shape, anchors.ravel(), anchors_store, eb, self.radius,
+            a_codes, a_lit, a_recon,
+        )
         symbols.append(np.where(a_lit, sentinel, a_codes))
-        literals.append(anchors_store.ravel()[a_lit])
+        literals.append(anchors_store[a_lit])
         recon[anchor_sel] = a_recon.reshape(anchors.shape)
 
         # Refinement passes, finest last, with reconstruction feedback.
-        for stride, axis in self._passes(shape):
+        for stride, axis in _passes(len(shape), levels):
             slicers = _pass_slicers(shape, stride, axis)
             if slicers is None:
                 continue
@@ -203,84 +183,41 @@ class SZInterpolationCompressor(Compressor):
             literals.append(store_vals[~qr.ok])
 
         all_symbols = np.concatenate(symbols)
-        all_literals = (
-            np.concatenate(literals) if literals else np.zeros(0, dtype=dtype)
-        )
         inner = Container()
         inner.add("codes", HuffmanCodec().encode(all_symbols))
-        inner.add("literals", all_literals.tobytes())
-        body = get_byte_codec(self.dict_codec).compress(inner.tobytes())
-
-        outer = Container()
-        outer.add("header", self._header(data, levels))
-        outer.add("body", body)
-        return CompressedField(outer.tobytes(), data.nbytes)
-
-    def _header(self, data: np.ndarray, levels: int) -> bytes:
-        codec = self.dict_codec.encode()
-        return (
-            encode_array_header(data)
-            + struct.pack("<d", self.error_bound)
-            + encode_uvarints(
-                np.asarray([levels, self.radius, len(codec)], dtype=np.uint64)
-            )
-            + codec
-        )
+        inner.add("literals", np.concatenate(literals).tobytes())
+        return frame.write_body(data, header, inner, self.dict_codec)
 
     # -- decompression ------------------------------------------------------
     def decompress(self, field: CompressedField | bytes) -> np.ndarray:
-        payload = field.payload if isinstance(field, CompressedField) else field
-        outer = Container.frombytes(payload)
-        header = outer.get("header")
-        dtype, shape, off = decode_array_header(header)
-        (eb,) = struct.unpack_from("<d", header, off)
-        off += 8
-        (levels, radius, codec_len), off = decode_uvarints(header, 3, off)
-        codec = header[off : off + int(codec_len)].decode()
+        header, outer = frame.open_payload(field, self.supported_ndims, n_params=2)
+        if header.size == 0:
+            return frame.read_empty(header, outer)
+        dtype, shape, eb, n = header.dtype, header.shape, header.bound, header.size
+        levels, radius = header.params
+        if levels > _num_levels(shape, levels):
+            raise CorruptPayloadError(f"{levels} levels do not fit shape {shape}")
 
-        n = int(np.prod(shape))
-        if n == 0:
-            return np.zeros(shape, dtype=dtype)
-
-        inner = Container.frombytes(get_byte_codec(codec).decompress(outer.get("body")))
-        all_symbols = HuffmanCodec().decode(inner.get("codes"))
+        inner = frame.read_body(header, outer)
         # Anchors and refinement passes visit every element exactly once.
-        if all_symbols.size != n:
-            raise CorruptPayloadError(
-                f"sz-interp payload holds {all_symbols.size} symbols, "
-                f"header declares {n} elements"
-            )
-        all_literals = np.frombuffer(inner.get("literals"), dtype=dtype)
+        symbols = frame.read_symbols(inner, n, self.name)
+        literal = symbols == radius
+        # Coding order: literals sit at their symbols, the rest is filled below.
+        values = np.zeros(n, dtype=dtype)
+        values[literal] = frame.read_values(
+            inner.get("literals"), dtype, int(literal.sum()), "literals"
+        )
 
         recon = np.zeros(shape, dtype=dtype)
-        sym_pos = 0
-        lit_pos = 0
-        anchor_stride = 2 ** int(levels)
-        eb = float(eb)
-
-        # Anchors.
+        anchor_stride = 2**levels
         anchor_sel = (slice(0, None, anchor_stride),) * len(shape)
         anchor_shape = tuple(-(-dim // anchor_stride) for dim in shape)
-        n_anchor = int(np.prod(anchor_shape))
-        seg = all_symbols[sym_pos : sym_pos + n_anchor]
-        sym_pos += n_anchor
-        lit_mask = seg == int(radius)
-        n_lit = int(lit_mask.sum())
-        seg_lit = all_literals[lit_pos : lit_pos + n_lit]
-        lit_pos += n_lit
-        plan = wavefront_plan(anchor_shape)
-        a_recon = np.zeros(n_anchor, dtype=dtype)
-        lit_values = np.zeros(n_anchor, dtype=dtype)
-        lit_values[lit_mask] = seg_lit
-        a_recon[lit_mask] = seg_lit
-        for plane in plan.planes:
-            pred = plan.predict_plane(a_recon, plane)
-            keep = ~lit_mask[plane]
-            a_recon[plane[keep]] = dequantize(seg[plane[keep]], pred[keep], eb, dtype)
-        recon[anchor_sel] = a_recon.reshape(anchor_shape)
+        pos = int(np.prod(anchor_shape))
+        lorenzo_decode(anchor_shape, symbols[:pos], literal[:pos], eb, values[:pos])
+        recon[anchor_sel] = values[:pos].reshape(anchor_shape)
 
         # Refinement passes in the identical order.
-        for stride, axis in self._passes(shape):
+        for stride, axis in _passes(len(shape), levels):
             slicers = _pass_slicers(shape, stride, axis)
             if slicers is None:
                 continue
@@ -289,17 +226,11 @@ class SZInterpolationCompressor(Compressor):
             count = int(np.prod(view_shape))
             if count == 0:
                 continue
-            seg = all_symbols[sym_pos : sym_pos + count]
-            sym_pos += count
-            lit_mask = seg == int(radius)
-            n_lit = int(lit_mask.sum())
-            seg_lit = all_literals[lit_pos : lit_pos + n_lit]
-            lit_pos += n_lit
+            seg = slice(pos, pos + count)
+            pos += count
+            keep = ~literal[seg]
             pred = _interp_pred(recon, slicers).ravel()
-            out = np.empty(count, dtype=dtype)
-            out[lit_mask] = seg_lit
-            keep = ~lit_mask
-            out[keep] = dequantize(seg[keep], pred[keep], eb, dtype)
-            recon[target_sl] = out.reshape(view_shape)
+            values[seg][keep] = dequantize(symbols[seg][keep], pred[keep], eb, dtype)
+            recon[target_sl] = values[seg].reshape(view_shape)
 
         return recon

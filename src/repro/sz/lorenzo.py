@@ -21,10 +21,20 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from typing import Iterator
 
 import numpy as np
 
-__all__ = ["lorenzo_offsets", "WavefrontPlan", "wavefront_plan", "lorenzo_predict_full"]
+from repro.sz.quantizer import dequantize, quantize
+
+__all__ = [
+    "lorenzo_offsets",
+    "WavefrontPlan",
+    "wavefront_plan",
+    "lorenzo_encode",
+    "lorenzo_decode",
+    "lorenzo_predict_full",
+]
 
 
 def lorenzo_offsets(ndim: int) -> list[tuple[tuple[int, ...], int]]:
@@ -115,6 +125,49 @@ class WavefrontPlan:
 def wavefront_plan(shape: tuple[int, ...]) -> WavefrontPlan:
     """Cached :class:`WavefrontPlan` for a shape."""
     return WavefrontPlan(shape)
+
+
+def _plane_points(plan: WavefrontPlan, skip: np.ndarray | None) -> Iterator[np.ndarray]:
+    """The points of each wavefront plane, in order, without those set in ``skip``."""
+    for plane in plan.planes:
+        pts = plane if skip is None else plane[~skip[plane]]
+        if pts.size:
+            yield pts
+
+
+def lorenzo_encode(
+    shape: tuple[int, ...], values: np.ndarray, store: np.ndarray, error_bound: float,
+    radius: int, codes: np.ndarray, literal: np.ndarray, recon: np.ndarray,
+    skip: np.ndarray | None = None,
+) -> None:
+    """Predict and quantize plane by plane, in place; all arrays are flat.
+
+    ``values`` holds the float64 originals, ``store`` the same points in the
+    storage dtype.  Filled per point: ``codes``, ``literal`` (True: the
+    point travels verbatim) and ``recon``, the value the decoder will hold,
+    from which later planes are predicted.  Points set in ``skip`` were
+    coded by the caller: their ``recon`` is read, never written.
+    """
+    plan = wavefront_plan(shape)
+    for pts in _plane_points(plan, skip):
+        pred = plan.predict_plane(recon, pts)
+        qr = quantize(values[pts], pred, error_bound, radius, recon.dtype)
+        codes[pts] = qr.codes
+        literal[pts] = ~qr.ok
+        recon[pts] = np.where(qr.ok, qr.recon, store[pts])
+
+
+def lorenzo_decode(
+    shape: tuple[int, ...], codes: np.ndarray, literal: np.ndarray, error_bound: float,
+    recon: np.ndarray, skip: np.ndarray | None = None,
+) -> None:
+    """Inverse of :func:`lorenzo_encode`: fill the points of ``recon`` that are
+    neither ``literal`` nor in ``skip`` (those are in it already)."""
+    plan = wavefront_plan(shape)
+    for pts in _plane_points(plan, skip):
+        pred = plan.predict_plane(recon, pts)
+        keep = ~literal[pts]
+        recon[pts[keep]] = dequantize(codes[pts[keep]], pred[keep], error_bound, recon.dtype)
 
 
 def lorenzo_predict_full(data: np.ndarray) -> np.ndarray:

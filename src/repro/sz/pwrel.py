@@ -21,15 +21,13 @@ the transformed field:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.codecs.container import Container
 from repro.codecs.interface import get_byte_codec
-from repro.codecs.varint import decode_uvarints, encode_uvarints, zigzag_decode, zigzag_encode
-from repro.pressio.arrayio import decode_array_header, encode_array_header
+from repro.errors import CorruptPayloadError
+from repro.pressio import frame
 from repro.pressio.compressor import CompressedField, Compressor
 from repro.sz.compressor import SZCompressor
 
@@ -77,12 +75,7 @@ class SZPointwiseRelative(Compressor):
 
     # ------------------------------------------------------------------
     def compress(self, data: np.ndarray) -> CompressedField:
-        data = np.asarray(data)
-        self.check_supported(data)
-        if data.dtype not in (np.float32, np.float64):
-            raise TypeError(f"sz-pwrel expects float32/float64 data, got {data.dtype}")
-        if not 0 < self.error_bound:
-            raise ValueError(f"relative bound must be positive, got {self.error_bound}")
+        data = self._checked_input(data)
         if not np.isfinite(data).all():
             raise ValueError("sz-pwrel does not support NaN/Inf values")
 
@@ -108,56 +101,29 @@ class SZPointwiseRelative(Compressor):
         rel_err[nz] = np.abs(recon.astype(np.float64)[nz] - flat[nz]) / np.abs(flat[nz])
         bad = np.flatnonzero(rel_err > self.error_bound)
 
-        outer = Container()
-        outer.add(
-            "header",
-            encode_array_header(data)
-            + struct.pack("<dd", self.error_bound, self.zero_threshold)
-            + encode_uvarints(np.asarray([len(self.dict_codec)], dtype=np.uint64))
-            + self.dict_codec.encode(),
+        outer = frame.new_payload(
+            frame.write_header(
+                data, self.error_bound, codec=self.dict_codec, extra=(self.zero_threshold,)
+            )
         )
         codec = get_byte_codec(self.dict_codec)
         outer.add("signs", codec.compress(np.packbits(sign_mask).tobytes()))
         outer.add("zeros", codec.compress(np.packbits(zero_mask).tobytes()))
         outer.add("logs", log_field.payload)
-        outer.add("patch_n", encode_uvarints(np.asarray([bad.size], dtype=np.uint64)))
-        outer.add(
-            "patch_idx",
-            encode_uvarints(zigzag_encode(np.diff(bad, prepend=np.int64(0)))),
-        )
-        outer.add("patch_val", data.ravel()[bad].tobytes())
+        frame.add_patches(outer, data, bad)
         return CompressedField(payload=outer.tobytes(), original_nbytes=data.nbytes)
 
     # ------------------------------------------------------------------
     def decompress(self, field: CompressedField | bytes) -> np.ndarray:
-        payload = field.payload if isinstance(field, CompressedField) else field
-        outer = Container.frombytes(payload)
-        header = outer.get("header")
-        dtype, shape, off = decode_array_header(header)
-        _, _ = struct.unpack_from("<dd", header, off)
-        off += 16
-        (codec_len,), off = decode_uvarints(header, 1, off)
-        codec = get_byte_codec(header[off : off + int(codec_len)].decode())
-
-        n = int(np.prod(shape))
-        sign_mask = np.unpackbits(
-            np.frombuffer(codec.decompress(outer.get("signs")), dtype=np.uint8), count=n
-        ).astype(bool)
-        zero_mask = np.unpackbits(
-            np.frombuffer(codec.decompress(outer.get("zeros")), dtype=np.uint8), count=n
-        ).astype(bool)
-
-        recon = self._reconstruct(shape, dtype, outer.get("logs"), zero_mask, sign_mask)
-
-        (n_patch,), _ = decode_uvarints(outer.get("patch_n"), 1, 0)
-        if int(n_patch):
-            deltas, _ = decode_uvarints(outer.get("patch_idx"), int(n_patch), 0)
-            idx = np.cumsum(zigzag_decode(deltas))
-            values = np.frombuffer(outer.get("patch_val"), dtype=dtype)
-            flat = recon.ravel()
-            flat[idx] = values
-            recon = flat.reshape(shape)
-        return recon
+        header, outer = frame.open_payload(field, self.supported_ndims, n_extra=1)
+        codec = get_byte_codec(header.codec)
+        # An empty array takes the same path: its masks hold no bytes.
+        sign_mask = frame.unpack_mask(codec.decompress(outer.get("signs")), header.size, "signs")
+        zero_mask = frame.unpack_mask(codec.decompress(outer.get("zeros")), header.size, "zeros")
+        recon = self._reconstruct(
+            header.shape, header.dtype, outer.get("logs"), zero_mask, sign_mask
+        )
+        return frame.apply_patches(outer, recon)
 
     def _reconstruct(
         self,
@@ -167,8 +133,10 @@ class SZPointwiseRelative(Compressor):
         zero_mask: np.ndarray,
         sign_mask: np.ndarray,
     ) -> np.ndarray:
-        logs = self._inner().decompress(log_payload).astype(np.float64).ravel()
-        out = np.exp2(logs)
+        logs = self._inner().decompress(log_payload)
+        if logs.shape != shape:
+            raise CorruptPayloadError(f"log field of shape {logs.shape} in a {shape} payload")
+        out = np.exp2(logs.astype(np.float64).ravel())
         out[sign_mask] *= -1.0
         out[zero_mask] = 0.0
         return out.astype(dtype).reshape(shape)

@@ -16,14 +16,13 @@ modes differ only in how many bit planes each block keeps:
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.codecs.container import Container
-from repro.codecs.varint import decode_uvarints, encode_uvarints, zigzag_decode, zigzag_encode
-from repro.pressio.arrayio import decode_array_header, encode_array_header
+from repro.errors import CorruptPayloadError
+from repro.pressio import frame
 from repro.pressio.compressor import CompressedField, Compressor
 from repro.zfp.embedded import (
     COUNT_BITS,
@@ -59,6 +58,22 @@ GUARD_BITS_PER_DIM = 1
 _KMAX_BITS = 6
 _NPLANES_BITS = 6
 _BLOCK_HEADER_BITS = EMAX_BITS + _KMAX_BITS + _NPLANES_BITS
+
+
+def _pack_fields(values: np.ndarray, width: int) -> bytes:
+    """One ``width``-bit unsigned field per value, MSB first."""
+    return pack_bits(values.astype(np.uint64), np.full(values.size, width, dtype=np.int64))
+
+
+def _read_fields(outer: Container, name: str, count: int, width: int) -> np.ndarray:
+    """Inverse of :func:`_pack_fields` for a section that must hold exactly
+    ``count`` fields — checked before ``count`` sizes anything."""
+    raw = outer.get(name)
+    if len(raw) != (count * width + 7) // 8:
+        raise CorruptPayloadError(
+            f"section {name!r}: {len(raw)} bytes cannot hold {count} {width}-bit fields"
+        )
+    return BitReader(raw).read_array(count, width).astype(np.int64)
 
 
 def _pad_to_blocks(data: np.ndarray) -> np.ndarray:
@@ -104,23 +119,12 @@ class _ZFPBase(Compressor):
     def _nplanes(self, smax: np.ndarray, kmax: np.ndarray, emax: np.ndarray, ndim: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _needs_patches(self) -> bool:
-        raise NotImplementedError
-
     # -- compression ----------------------------------------------------
     def compress(self, data: np.ndarray) -> CompressedField:
-        data = np.asarray(data)
-        self.check_supported(data)
-        if data.dtype not in (np.float32, np.float64):
-            raise TypeError(f"ZFP expects float32/float64 data, got {data.dtype}")
-        if not self.error_bound > 0:
-            raise ValueError(
-                f"{self.mode} parameter must be positive, got {self.error_bound}"
-            )
+        data = self._checked_input(data)
+        header = frame.write_header(data, self.error_bound)
         if data.size == 0:
-            outer = Container()
-            outer.add("header", self._header(data))
-            return CompressedField(outer.tobytes(), data.nbytes)
+            return frame.write_empty(data, header)
 
         ndim = data.ndim
         padded = _pad_to_blocks(data.astype(np.float64))
@@ -141,34 +145,14 @@ class _ZFPBase(Compressor):
         counts = unit_counts(smax, unit_block, unit_plane)
         payload_bits = encode_plane_bits(neg, unit_block, unit_plane, counts)
 
-        outer = Container()
-        outer.add("header", self._header(data))
-        outer.add(
-            "emax",
-            pack_bits(
-                (emax + EMAX_BIAS).astype(np.uint64),
-                np.full(nblocks, EMAX_BITS, dtype=np.int64),
-            ),
-        )
-        outer.add(
-            "kmax",
-            pack_bits(kmax.astype(np.uint64), np.full(nblocks, _KMAX_BITS, dtype=np.int64)),
-        )
-        outer.add(
-            "nplanes",
-            pack_bits(
-                nplanes.astype(np.uint64), np.full(nblocks, _NPLANES_BITS, dtype=np.int64)
-            ),
-        )
-        outer.add(
-            "counts",
-            pack_bits(
-                counts.astype(np.uint64), np.full(counts.size, COUNT_BITS, dtype=np.int64)
-            ),
-        )
+        outer = frame.new_payload(header)
+        outer.add("emax", _pack_fields(emax + EMAX_BIAS, EMAX_BITS))
+        outer.add("kmax", _pack_fields(kmax, _KMAX_BITS))
+        outer.add("nplanes", _pack_fields(nplanes, _NPLANES_BITS))
+        outer.add("counts", _pack_fields(counts, COUNT_BITS))
         outer.add("payload", np.packbits(payload_bits).tobytes() if payload_bits.size else b"")
 
-        if self._needs_patches():
+        if self.mode == "abs":  # verify and patch: the bound holds at every point
             recon = self._reconstruct_array(
                 data.shape, padded.shape, data.dtype, emax, kmax, nplanes, counts,
                 unit_block, unit_plane, payload_bits,
@@ -177,12 +161,7 @@ class _ZFPBase(Compressor):
                 np.abs(recon.astype(np.float64).ravel() - data.astype(np.float64).ravel())
                 > self.error_bound
             )
-            outer.add(
-                "patch_idx",
-                encode_uvarints(zigzag_encode(np.diff(bad, prepend=np.int64(0)))),
-            )
-            outer.add("patch_n", encode_uvarints(np.asarray([bad.size], dtype=np.uint64)))
-            outer.add("patch_val", data.ravel()[bad].tobytes())
+            frame.add_patches(outer, data, bad, index_first=True)
         else:
             # Fixed-rate: zero-pad the container to the exact bit budget.
             target_bytes = math.ceil(nblocks * m * self.error_bound / 8)
@@ -192,58 +171,33 @@ class _ZFPBase(Compressor):
 
         return CompressedField(outer.tobytes(), data.nbytes)
 
-    def _header(self, data: np.ndarray) -> bytes:
-        return encode_array_header(data) + struct.pack("<d", self.error_bound)
-
     # -- decompression ----------------------------------------------------
     def decompress(self, field: CompressedField | bytes) -> np.ndarray:
-        payload = field.payload if isinstance(field, CompressedField) else field
-        outer = Container.frombytes(payload)
-        header = outer.get("header")
-        dtype, shape, off = decode_array_header(header)
-        (param,) = struct.unpack_from("<d", header, off)
-
-        if int(np.prod(shape)) == 0:
-            return np.zeros(shape, dtype=dtype)
-
-        ndim = len(shape)
+        header, outer = frame.open_payload(field, self.supported_ndims, codec=False)
+        if header.size == 0:
+            return frame.read_empty(header, outer)
+        shape = header.shape
         padded_shape = tuple(s + ((-s) % BLOCK) for s in shape)
-        nblocks = int(np.prod([s // BLOCK for s in padded_shape]))
+        nblocks = math.prod(s // BLOCK for s in padded_shape)
 
-        emax = (
-            BitReader(outer.get("emax")).read_array(nblocks, EMAX_BITS).astype(np.int64)
-            - EMAX_BIAS
-        )
-        kmax = BitReader(outer.get("kmax")).read_array(nblocks, _KMAX_BITS).astype(np.int64)
-        nplanes = (
-            BitReader(outer.get("nplanes")).read_array(nblocks, _NPLANES_BITS).astype(np.int64)
-        )
+        emax = _read_fields(outer, "emax", nblocks, EMAX_BITS) - EMAX_BIAS
+        kmax = _read_fields(outer, "kmax", nblocks, _KMAX_BITS)
+        nplanes = _read_fields(outer, "nplanes", nblocks, _NPLANES_BITS)
         unit_block, unit_plane = unit_layout(kmax, nplanes)
-        counts = (
-            BitReader(outer.get("counts"))
-            .read_array(unit_block.size, COUNT_BITS)
-            .astype(np.int64)
-        )
+        counts = _read_fields(outer, "counts", unit_block.size, COUNT_BITS)
         total_bits = int(counts.sum())
-        payload_bits = np.unpackbits(
-            np.frombuffer(outer.get("payload"), dtype=np.uint8), count=total_bits
-        )
+        packed = outer.get("payload")
+        if len(packed) != (total_bits + 7) // 8:
+            raise CorruptPayloadError(
+                f"section 'payload': {len(packed)} bytes for {total_bits} plane bits"
+            )
+        payload_bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=total_bits)
 
         recon = self._reconstruct_array(
-            shape, padded_shape, dtype, emax, kmax, nplanes, counts,
+            shape, padded_shape, header.dtype, emax, kmax, nplanes, counts,
             unit_block, unit_plane, payload_bits,
         )
-
-        if "patch_idx" in outer:
-            (n_patch,), _ = decode_uvarints(outer.get("patch_n"), 1, 0)
-            if int(n_patch):
-                deltas, _ = decode_uvarints(outer.get("patch_idx"), int(n_patch), 0)
-                idx = np.cumsum(zigzag_decode(deltas))
-                values = np.frombuffer(outer.get("patch_val"), dtype=dtype)
-                flat = recon.ravel()
-                flat[idx] = values
-                recon = flat.reshape(shape)
-        return recon
+        return frame.apply_patches(outer, recon) if self.mode == "abs" else recon
 
     def _reconstruct_array(
         self,
@@ -289,9 +243,6 @@ class ZFPCompressor(_ZFPBase):
         minplane = np.maximum(minplane, 0)
         return np.clip(kmax - minplane, 0, kmax).astype(np.int64)
 
-    def _needs_patches(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class ZFPPrecisionCompressor(_ZFPBase):
@@ -312,9 +263,6 @@ class ZFPPrecisionCompressor(_ZFPBase):
         precision = max(int(self.error_bound), 0)
         return np.minimum(kmax, precision).astype(np.int64)
 
-    def _needs_patches(self) -> bool:
-        return False
-
     def default_bound_range(self, data: np.ndarray) -> tuple[float, float]:
         """Planes from 1 (coarsest) to full fixed-point depth."""
         return (1.0, float(FRAC_BITS + 6))
@@ -334,9 +282,6 @@ class ZFPFixedRateCompressor(_ZFPBase):
         m = BLOCK**ndim
         budget = int(self.error_bound * m) - _BLOCK_HEADER_BITS
         return rate_limited_nplanes(smax, kmax, budget)
-
-    def _needs_patches(self) -> bool:
-        return False
 
     def default_bound_range(self, data: np.ndarray) -> tuple[float, float]:
         """Rates from ~lossless (dtype width) down to half a bit per value."""

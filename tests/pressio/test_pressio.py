@@ -7,9 +7,8 @@ from repro.pressio import (
     CompressedField,
     RatioFunction,
     available_compressors,
-    decode_array_header,
-    encode_array_header,
     evaluate,
+    frame,
     make_compressor,
 )
 from repro.sz.compressor import SZCompressor
@@ -20,15 +19,14 @@ class TestArrayHeader:
     @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 4)])
     def test_roundtrip(self, dtype, shape):
         data = np.zeros(shape, dtype)
-        blob = encode_array_header(data)
-        parsed_dtype, parsed_shape, off = decode_array_header(blob)
-        assert parsed_dtype == np.dtype(dtype)
-        assert parsed_shape == shape
-        assert off == len(blob)
+        header = frame.read_header(frame.write_header(data, 0.5), (1, 2, 3), codec=False)
+        assert header.dtype == np.dtype(dtype)
+        assert header.shape == shape
+        assert header.size == data.size
 
     def test_unsupported_dtype(self):
         with pytest.raises(TypeError):
-            encode_array_header(np.zeros(3, np.int32))
+            frame.write_header(np.zeros(3, np.int32), 0.5)
 
 
 class TestCompressedField:

@@ -8,6 +8,7 @@ from repro.sz.interpolation import (
     SZInterpolationCompressor,
     _num_levels,
     _pass_slicers,
+    _passes,
 )
 
 
@@ -46,12 +47,11 @@ class TestPassSlicers:
     def test_pass_coverage_full_grid(self):
         """Anchors plus all passes visit every point exactly once."""
         shape = (13, 10)
-        comp = SZInterpolationCompressor()
         levels = _num_levels(shape)
         stride0 = 2**levels
         seen = np.zeros(shape, dtype=int)
         seen[(slice(0, None, stride0),) * 2] += 1
-        for stride, axis in comp._passes(shape):
+        for stride, axis in _passes(len(shape), levels):
             slicers = _pass_slicers(shape, stride, axis)
             if slicers is not None:
                 seen[slicers[0]] += 1
