@@ -5,6 +5,13 @@ infeasible targets — below SZ's effective ratio floor (~7.5 in the paper)
 or in gaps of the achievable set — exhaust the iteration budget on every
 step and cost ~10x more than feasible targets, where early termination and
 time-step reuse kick in.
+
+Here: a region stops once its probes exclude the band (both ends and the
+middle all on one side and far from it), so the target under the floor
+(rho_t = 2) costs 200 evaluations over the 8 steps — about 4 per region —
+against 13-16 for a feasible target: ~13x.  It was 480 (every region's
+whole budget, ~32x) before that rule.  rho_t = 6, which one step of the
+eight cannot reach, costs 37 (72 before).
 """
 
 from __future__ import annotations

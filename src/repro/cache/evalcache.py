@@ -101,12 +101,18 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-def _evaluate_probe(payload: tuple) -> tuple[str, float, int, float]:
-    """Module-level trampoline for pool executors: one cold probe."""
+def _evaluate_probe(payload: tuple, on_compress=None) -> tuple[str, float, int, float]:
+    """Module-level trampoline for pool executors: one cold probe.
+
+    ``on_compress`` (in-process callers only) is handed the payload; what
+    is returned, and so cached or shipped between processes, never holds it.
+    """
     compressor, data, e, key = payload
     start = time.perf_counter()
     compressed = compressor.with_error_bound(e).compress(data)
     elapsed = time.perf_counter() - start
+    if on_compress is not None:
+        on_compress(compressed)
     return (key, compressed.ratio, compressed.nbytes, elapsed)
 
 
@@ -246,9 +252,14 @@ class EvalCache:
 
     # -- evaluation front-door -------------------------------------------
     def evaluate(
-        self, compressor: Compressor, data: np.ndarray, error_bound: float
+        self, compressor: Compressor, data: np.ndarray, error_bound: float, *,
+        on_compress=None,
     ) -> tuple[CacheEntry, bool]:
-        """Return ``(entry, was_hit)`` for one probe, compressing on miss."""
+        """Return ``(entry, was_hit)`` for one probe, compressing on miss.
+
+        On a miss ``on_compress`` receives the ``CompressedField`` the
+        compressor produced; the entry keeps only its ratio and size.
+        """
         key = self.key_for(compressor, data, error_bound)
         entry = self.get(key)
         if entry is not None:
@@ -256,7 +267,7 @@ class EvalCache:
                 self.stats.bytes_saved += np.asarray(data).nbytes
             return entry, True
         _, ratio, nbytes, elapsed = _evaluate_probe(
-            (compressor, np.asarray(data), float(error_bound), key)
+            (compressor, np.asarray(data), float(error_bound), key), on_compress
         )
         entry = CacheEntry(ratio, nbytes, elapsed)
         self.put(key, entry)

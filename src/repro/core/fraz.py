@@ -15,6 +15,7 @@ respects the user's distortion constraint ``U``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -161,6 +162,11 @@ class FRaZ:
     # ------------------------------------------------------------------
     def tune(self, data: np.ndarray, prediction: float | None = None) -> TrainingResult:
         """Search the error bound for a single field/time-step."""
+        return self._train(data, prediction)
+
+    def _train(
+        self, data: np.ndarray, prediction: float | None, keep_payload: bool = False
+    ) -> TrainingResult:
         return train(
             self._compressor,
             data,
@@ -174,6 +180,7 @@ class FRaZ:
             executor=self._executor,
             seed=self.seed,
             cache=self._cache,
+            keep_payload=keep_payload,
         )
 
     def tune_series(
@@ -217,10 +224,17 @@ class FRaZ:
     def compress(
         self, data: np.ndarray, prediction: float | None = None
     ) -> tuple[CompressedField, TrainingResult]:
-        """Tune, then compress with the recommended bound."""
-        result = self.tune(data, prediction=prediction)
-        configured = self._compressor.with_error_bound(result.error_bound)
-        return configured.compress(data), result
+        """Tune, then compress with the recommended bound.
+
+        The search has usually compressed at that very bound already: the
+        winning probe's payload is then the output, and only a probe the
+        shared cache answered (no bytes were made) is compressed here.
+        """
+        result = self._train(data, prediction, keep_payload=True)
+        payload = result.payload
+        if payload is None:
+            payload = self._compressor.with_error_bound(result.error_bound).compress(data)
+        return payload, dataclasses.replace(result, payload=None)
 
     def decompress(self, payload: CompressedField | bytes) -> np.ndarray:
         """Decompress a payload produced by :meth:`compress`."""

@@ -9,7 +9,8 @@ Steady-state cost is **one compression per frame**: the verification
 compression at the carried-over bound *is* the output payload when it
 lands in the band.  Retraining happens only when the stream drifts out of
 the acceptance band, and it seeds the search with the stale bound, so
-recovery is cheap.  An optional drift monitor tracks how close recent
+recovery is cheap; the retrain's winning probe is likewise the output, not
+a compression to be repeated.  An optional drift monitor tracks how close recent
 ratios have come to the band edges and can retrain pre-emptively.
 """
 
@@ -168,12 +169,17 @@ class OnlineFRaZ:
             prediction=self.current_bound,
             executor=self.executor,
             seed=self.seed + self.frames_seen,
+            keep_payload=True,
         )
         self.retrain_count += 1
         evaluations += result.evaluations
         self.current_bound = result.error_bound
-        payload = self.compressor.with_error_bound(result.error_bound).compress(frame)
-        evaluations += 1
+        # The winning probe compressed this frame at this bound: its
+        # payload is the output.
+        payload = result.payload
+        if payload is None:
+            payload = self.compressor.with_error_bound(result.error_bound).compress(frame)
+            evaluations += 1
         self._drift.reset()
         self._drift.observe(payload.ratio)
         return OnlineStepResult(

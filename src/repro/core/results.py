@@ -8,8 +8,15 @@ ratio tolerance, ``U`` the user's maximum allowed compression error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.loss import acceptance_band
+
+if TYPE_CHECKING:
+    # Annotation only.  A real import here would start ``repro.pressio``
+    # before ``repro.core``, and in that order package start-up measures
+    # ~0.1 s slower (the ledger's ``setup_s``).
+    from repro.pressio.compressor import CompressedField
 
 __all__ = ["WorkerResult", "TrainingResult", "TimeSeriesResult", "FieldResult"]
 
@@ -27,6 +34,13 @@ class WorkerResult:
     compress_seconds: float
     cache_hits: int = 0
     cache_misses: int = 0
+    #: why the region's search ended: ``"cutoff"`` (a probe landed in the
+    #: band), ``"excluded"`` (its probes rule the band out on the whole
+    #: region) or ``"budget"`` (``max_calls`` spent).
+    stop_reason: str = "budget"
+    #: what compressing at ``error_bound`` produced, when this worker ran
+    #: that probe itself; in-process only, like ``stop_reason``.
+    payload: CompressedField | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -45,6 +59,9 @@ class TrainingResult:
     workers: tuple[WorkerResult, ...] = ()
     cache_hits: int = 0
     cache_misses: int = 0
+    #: the winning probe's output, only when the caller asked ``train`` to
+    #: keep it (``FRaZ.compress`` does, so it need not compress again).
+    payload: CompressedField | None = field(default=None, repr=False, compare=False)
 
     @property
     def within_tolerance(self) -> bool:

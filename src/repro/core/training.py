@@ -21,6 +21,7 @@ order cannot change the merged state).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -77,6 +78,7 @@ def train(
     executor: BaseExecutor | None = None,
     seed: int = 0,
     cache: EvalCache | None = None,
+    keep_payload: bool = False,
 ) -> TrainingResult:
     """Find an error bound whose ratio hits ``target_ratio`` within ``tolerance``.
 
@@ -89,6 +91,12 @@ def train(
     region workers consult it, and entries probed by pool workers are
     merged back so later searches (other regions, time-steps, baselines)
     reuse them.
+
+    ``keep_payload`` puts the winning probe's ``CompressedField`` on the
+    result when the worker that made it ran the compressor (not on a cache
+    hit): the caller about to compress at ``error_bound`` already has the
+    bytes.  Off by default, so a result that is only kept for its numbers
+    holds no payload alive.
     """
     data = np.asarray(data)
     t0 = time.perf_counter()
@@ -117,20 +125,7 @@ def train(
             cache=cache,
         )
         if probe.used_prediction and probe.feasible:
-            return TrainingResult(
-                error_bound=probe.error_bound,
-                ratio=probe.ratio,
-                target_ratio=target_ratio,
-                tolerance=tolerance,
-                feasible=True,
-                evaluations=probe.evaluations,
-                compress_seconds=probe.compress_seconds,
-                wall_seconds=time.perf_counter() - t0,
-                used_prediction=True,
-                workers=(probe,),
-                cache_hits=probe.cache_hits,
-                cache_misses=probe.cache_misses,
-            )
+            return _result(probe, (probe,), target_ratio, tolerance, t0, keep_payload)
 
     executor = executor or SerialExecutor()
     ship_delta = cache is not None and not getattr(executor, "shares_memory", True)
@@ -163,17 +158,32 @@ def train(
     else:
         best = min(workers, key=lambda w: (w.ratio - target_ratio) ** 2)
 
+    return _result(best, workers, target_ratio, tolerance, t0, keep_payload)
+
+
+def _result(
+    best: WorkerResult,
+    workers: tuple[WorkerResult, ...],
+    target_ratio: float,
+    tolerance: float,
+    t0: float,
+    keep_payload: bool,
+) -> TrainingResult:
+    """The search's result: ``best``'s verdict, every worker's cost."""
     return TrainingResult(
         error_bound=best.error_bound,
         ratio=best.ratio,
         target_ratio=target_ratio,
         tolerance=tolerance,
-        feasible=bool(feasible),
+        feasible=best.feasible,
         evaluations=sum(w.evaluations for w in workers),
         compress_seconds=sum(w.compress_seconds for w in workers),
         wall_seconds=time.perf_counter() - t0,
-        used_prediction=False,
-        workers=workers,
+        used_prediction=best.used_prediction,
+        # Only the winner's payload leaves, and only on request: a dozen
+        # regions' incumbents must not stay alive inside a kept result.
+        workers=tuple(dataclasses.replace(w, payload=None) for w in workers),
         cache_hits=sum(w.cache_hits for w in workers),
         cache_misses=sum(w.cache_misses for w in workers),
+        payload=best.payload if keep_payload else None,
     )

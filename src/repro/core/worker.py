@@ -5,6 +5,14 @@ One worker owns one error-bound region.  It first tries the *prediction*
 acceptance band, the whole search is skipped (lines 1-6).  Otherwise it
 runs the cutoff-equipped global optimizer over its region (line 7,
 ``train_with_cutoff``) and reports the best ratio it observed.
+
+The search also gets the signed residual ``rho(e) - rho_t`` of its probes,
+so it ends as soon as they exclude the band from the whole region (the
+mirror of the paper's cutoff, :func:`repro.optimize.lipo.excludes`) rather
+than spending the rest of ``max_calls`` on a region that cannot succeed.
+Why it stopped is on the result and on the region's last
+``search_iteration`` span; the payload of the reported probe rides along
+when this worker compressed it.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.evalcache import EvalCache
+from repro.cache.keys import normalize_bound
 from repro.core.loss import acceptance_band, clamped_square_loss, cutoff_for
 from repro.core.results import WorkerResult
 from repro.optimize import find_global_min
@@ -61,29 +70,38 @@ def worker_task(
     """
     lo_band, hi_band = acceptance_band(target_ratio, tolerance)
     lower, upper = region
-    ratio_fn = RatioFunction(compressor, data, cache=cache)
+    ratio_fn = RatioFunction(compressor, data, cache=cache, target_ratio=target_ratio)
+
+    def result(error_bound, ratio, feasible, used_prediction, stop_reason) -> WorkerResult:
+        ratio_fn.tag_last_probe("stop_reason", stop_reason)
+        return WorkerResult(
+            error_bound=error_bound,
+            ratio=ratio,
+            feasible=feasible,
+            evaluations=ratio_fn.evaluations,
+            region=region,
+            used_prediction=used_prediction,
+            compress_seconds=ratio_fn.compress_seconds,
+            cache_hits=ratio_fn.cache_hits,
+            cache_misses=ratio_fn.cache_misses,
+            stop_reason=stop_reason,
+            payload=ratio_fn.payload_at(error_bound),
+        )
 
     # Lines 1-6: try the prediction first and return immediately on success.
     if prediction is not None and prediction > 0:
         ratio = ratio_fn(prediction)
         if lo_band <= ratio <= hi_band:
-            return WorkerResult(
-                error_bound=float(prediction),
-                ratio=ratio,
-                feasible=True,
-                evaluations=ratio_fn.evaluations,
-                region=region,
-                used_prediction=True,
-                compress_seconds=ratio_fn.compress_seconds,
-                cache_hits=ratio_fn.cache_hits,
-                cache_misses=ratio_fn.cache_misses,
-            )
+            # The bound that was probed, not the one that was passed in:
+            # the closure normalises it, and the ratio belongs to that.
+            return result(normalize_bound(prediction), ratio, True, True, "cutoff")
 
     # Line 7: train with cutoff.
     loss = clamped_square_loss(ratio_fn, target_ratio)
     cutoff = cutoff_for(target_ratio, tolerance)
     initial = [prediction] if prediction is not None and lower <= prediction <= upper else []
-    find_global_min(
+    half_width = tolerance * target_ratio
+    search = find_global_min(
         loss,
         lower,
         upper,
@@ -91,19 +109,10 @@ def worker_task(
         cutoff=cutoff,
         seed=seed,
         initial_points=initial,
+        residual=lambda e: (ratio_fn.ratio_at(e) - target_ratio) / half_width,
     )
 
     best = ratio_fn.best_observation(target_ratio)
     assert best is not None  # the optimizer always evaluates at least once
     feasible = lo_band <= best.ratio <= hi_band
-    return WorkerResult(
-        error_bound=best.error_bound,
-        ratio=best.ratio,
-        feasible=feasible,
-        evaluations=ratio_fn.evaluations,
-        region=region,
-        used_prediction=False,
-        compress_seconds=ratio_fn.compress_seconds,
-        cache_hits=ratio_fn.cache_hits,
-        cache_misses=ratio_fn.cache_misses,
-    )
+    return result(best.error_bound, best.ratio, feasible, False, search.stop_reason)

@@ -203,6 +203,8 @@ class Span:
             "status": self.status,
         }
         if self.attrs:
+            # Shared, not copied: RatioFunction.tag_last_probe sets
+            # ``stop_reason`` after the span has ended and been stored.
             out["attrs"] = self.attrs
         if self.error is not None:
             out["error"] = self.error

@@ -8,7 +8,12 @@ Mirrors Dlib's global optimizer with FRaZ's modification:
   the user's acceptance threshold (Sec. V-B3: stop once the loss is within
   ``[0, (eps * rho_t)**2]``), trading exactness for speed;
 * the function is treated as deterministic and expensive — every proposal
-  is deduplicated against previous probes before being evaluated.
+  is deduplicated against previous probes before being evaluated;
+* the **exclusion cutoff** is the mirror image: a caller that can say on
+  which side of its target each probe fell (``residual``) lets the search
+  end as soon as the probes made rule a hit out everywhere on the interval
+  (:func:`repro.optimize.lipo.excludes`).  It only ever *ends* a search —
+  the probes made up to that point are exactly those of a search without it.
 
 Scale handling: compressor error bounds are *scale* parameters — a ratio
 curve's structure concentrates in the lowest decades of a wide interval.
@@ -24,7 +29,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.optimize.lipo import propose
+from repro.optimize.lipo import excludes, propose
 from repro.optimize.result import Evaluation, OptimizationResult
 from repro.optimize.trust_region import refine, v_refine
 
@@ -41,6 +46,7 @@ def find_global_min(
     cutoff: float | None = None,
     seed: int = 0,
     initial_points: Iterable[float] = (),
+    residual: Callable[[float], float] | None = None,
 ) -> OptimizationResult:
     """Minimise a scalar black-box function over ``[lower, upper]``.
 
@@ -59,12 +65,18 @@ def find_global_min(
     initial_points:
         Extra probes to evaluate first — FRaZ seeds the previous time-step's
         error bound here.  Never trimmed by the seeding budget.
+    residual:
+        Internal hook of FRaZ's region workers: maps a probe already made
+        to the signed distance of what it observed from the target, in
+        units of the acceptable distance (``|r| <= 1`` is a hit, the sign
+        says on which side a miss fell).  With it the search also stops
+        once :func:`~repro.optimize.lipo.excludes` holds.
 
     Returns
     -------
     OptimizationResult
-        Best probe, call count, cutoff flag and the full history (all in the
-        original, untransformed coordinates).
+        Best probe, call count, why the search stopped and the full history
+        (all in the original, untransformed coordinates).
     """
     if not upper > lower:
         raise ValueError(f"need upper > lower, got [{lower}, {upper}]")
@@ -96,6 +108,7 @@ def find_global_min(
     rng = np.random.default_rng(seed)
     history: list[Evaluation] = []
     t_seen: list[float] = []
+    r_seen: list[float] = []
     seen_x: set[float] = set()
 
     def evaluate(t: float) -> float:
@@ -103,13 +116,19 @@ def find_global_min(
         fx = float(func(x))
         history.append(Evaluation(x, fx))
         t_seen.append(t)
+        if residual is not None:
+            r_seen.append(float(residual(x)))
         seen_x.add(x)
         return fx
 
-    def done() -> bool:
+    def stop_reason() -> str | None:
         if cutoff is not None and history and min(h.fx for h in history) <= cutoff:
-            return True
-        return len(history) >= max_calls
+            return "cutoff"
+        if len(history) >= max_calls:
+            return "budget"
+        if r_seen and excludes(np.asarray(t_seen), np.asarray(r_seen), t_lower, t_upper):
+            return "excluded"
+        return None
 
     # Seed probes in t-space: user points first (never trimmed), then the
     # interval ends and interior quantiles, capped at half the budget so
@@ -127,7 +146,7 @@ def find_global_min(
     budget = max(3, max_calls // 2)
     seeds = user_seeds + generic[: max(budget - len(user_seeds), 2)]
     for t in seeds:
-        if done():
+        if stop_reason():
             break
         if from_t(t) not in seen_x:
             evaluate(t)
@@ -140,7 +159,7 @@ def find_global_min(
     # has no fresh proposal (the parabola's vertex is easily dragged off
     # target by the tall far wall of an asymmetric valley).
     explore_next = False
-    while not done():
+    while not stop_reason():
         ts = np.asarray(t_seen)
         ys = np.asarray([h.fx for h in history])
         best_before = float(ys.min())
@@ -168,11 +187,11 @@ def find_global_min(
             explore_next = True
 
     best = min(history, key=lambda h: h.fx)
-    hit = cutoff is not None and best.fx <= cutoff
     return OptimizationResult(
         x_best=best.x,
         f_best=best.fx,
         n_calls=len(history),
-        hit_cutoff=hit,
+        # No fresh probe left to propose is the budget running out early.
+        stop_reason=stop_reason() or "budget",
         history=history,
     )

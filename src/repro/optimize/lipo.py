@@ -12,6 +12,10 @@ data itself (the steepest observed secant slope, inflated slightly), and
 candidates are scored over a dense deterministic grid plus random jitter so
 plateaus in step-like objectives (exactly what compressor ratio curves look
 like — Fig. 4) are still explored.
+
+The same model, read the other way, says when to *stop*: :func:`excludes`
+is true once the lower bound on the distance to the target stays above the
+acceptable distance over the whole interval.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ import numpy as np
 __all__ = ["estimate_lipschitz", "lower_bound", "propose"]
 
 _K_INFLATION = 1.1
+#: :func:`excludes` trusts a slope this many times the steepest secant it
+#: has seen: giving up on a region is costlier to get wrong than placing
+#: the next probe, so its margin is wider than the proposal's.
+_K_EXCLUSION = 2.0
 _CANDIDATES = 256
 
 
@@ -44,6 +52,33 @@ def lower_bound(x: np.ndarray, xs: np.ndarray, ys: np.ndarray, k: float) -> np.n
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     return (ys[None, :] - k * np.abs(x[:, None] - xs[None, :])).max(axis=1)
+
+
+def excludes(ts: np.ndarray, rs: np.ndarray, lower: float, upper: float) -> bool:
+    """Whether probes at ``ts`` rule out a hit anywhere on ``[lower, upper]``.
+
+    ``rs`` are signed residuals in units of the acceptable distance: a probe
+    with ``|r| <= 1`` is a hit.  True when both interval ends and at least
+    one interior point were probed, every probe missed on the *same* side
+    (a pair of neighbours on opposite sides brackets the target and a
+    non-finite residual says nothing, so neither ever excludes), and
+    between every pair of neighbours the Lipschitz cone under both,
+    ``(|r_i| + |r_j|) / 2 - k * dt / 2``, stays above 1 with ``k`` the
+    steepest secant among the probes times :data:`_K_EXCLUSION`.
+    """
+    if len(ts) < 3:
+        return False
+    order = np.argsort(ts)
+    t = np.asarray(ts, dtype=np.float64)[order]
+    r = np.asarray(rs, dtype=np.float64)[order]
+    if t[0] > lower or t[-1] < upper or not np.all(np.isfinite(r)):
+        return False
+    if not (np.all(r > 1.0) or np.all(r < -1.0)):
+        return False
+    dt = np.diff(t)
+    k = _K_EXCLUSION * float((np.abs(np.diff(r)) / dt).max())
+    dist = np.abs(r)
+    return bool(np.all((dist[:-1] + dist[1:]) / 2 - k * dt / 2 > 1.0))
 
 
 def propose(

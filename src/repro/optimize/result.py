@@ -25,8 +25,10 @@ class OptimizationResult:
         Argument and value of the best (lowest) evaluation.
     n_calls:
         Number of objective evaluations performed.
-    hit_cutoff:
-        True when the search stopped early because ``f_best <= cutoff``.
+    stop_reason:
+        Why the search ended: ``"cutoff"`` (``f_best <= cutoff``),
+        ``"excluded"`` (the probes made rule a hit out on the whole
+        interval) or ``"budget"`` (``max_calls`` spent).
     history:
         Every evaluation in probe order.
     """
@@ -34,5 +36,10 @@ class OptimizationResult:
     x_best: float
     f_best: float
     n_calls: int
-    hit_cutoff: bool
+    stop_reason: str
     history: list[Evaluation] = field(default_factory=list)
+
+    @property
+    def hit_cutoff(self) -> bool:
+        """True when the search stopped early because ``f_best <= cutoff``."""
+        return self.stop_reason == "cutoff"

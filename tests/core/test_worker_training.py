@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.cache.keys import normalize_bound
 from repro.core.training import train
 from repro.core.worker import worker_task
+from repro.obs.trace import Tracer
 from repro.parallel.executor import SerialExecutor, ThreadExecutor
 from repro.sz.compressor import SZCompressor
 
@@ -46,6 +48,19 @@ class TestWorkerTask:
         assert res.used_prediction
         assert res.evaluations == 1
 
+    def test_prediction_reports_the_bound_it_probed(self, sz, field):
+        # The closure normalises bounds to 12 digits: a prediction that is
+        # not 12-digit clean is probed at its normalised value, and that is
+        # the bound the reported ratio belongs to.
+        lo, hi = sz.default_bound_range(field)
+        first = worker_task(sz, field, 10.0, 0.1, (lo, hi))
+        noisy = first.error_bound * (1.0 + 3e-14)
+        assert normalize_bound(noisy) != noisy
+        res = worker_task(sz, field, 10.0, 0.1, (lo, hi), prediction=noisy)
+        assert res.used_prediction
+        assert res.error_bound == normalize_bound(noisy)
+        assert sz.with_error_bound(res.error_bound).compress(field).ratio == res.ratio
+
     def test_bad_prediction_falls_through(self, sz, field):
         lo, hi = sz.default_bound_range(field)
         res = worker_task(sz, field, 10.0, 0.1, (lo, hi), prediction=hi)
@@ -57,6 +72,24 @@ class TestWorkerTask:
         res = worker_task(sz, field, 0.5, 0.05, (lo, hi), max_calls=8)
         assert not res.feasible
         assert res.ratio > 0
+
+    @pytest.mark.parametrize("target,max_calls,reason", [
+        (10.0, 16, "cutoff"), (5000.0, 16, "excluded"), (1.2, 2, "budget"),
+    ])
+    def test_stop_reason_on_result_and_last_iteration_span(
+        self, sz, field, target, max_calls, reason
+    ):
+        tracer = Tracer()
+        root = tracer.start_trace("tune")
+        with tracer.activate(root):
+            res = worker_task(sz, field, target, 0.05, sz.default_bound_range(field),
+                              max_calls=max_calls)
+        assert res.stop_reason == reason
+        iters = [s for s in tracer.store.get(root.trace_id) if s["name"] == "search_iteration"]
+        assert len(iters) == res.evaluations
+        assert ["stop_reason" in s["attrs"] for s in iters] == \
+            [False] * (len(iters) - 1) + [True]
+        assert iters[-1]["attrs"]["stop_reason"] == reason
 
     def test_validation(self, sz, field):
         with pytest.raises(ValueError):

@@ -77,6 +77,12 @@ class TestSpanTree:
         assert iterations == sorted(iterations)
         bounds = [it["attrs"]["bound"] for it in iters]
         assert len(set(bounds)) == len(bounds), "iterations repeat a bound"
+        # Each region's last probe says why its search stopped there (set
+        # after the span ended, and it still crosses the pool boundary).
+        reasons = [it["attrs"]["stop_reason"] for it in iters
+                   if "stop_reason" in it["attrs"]]
+        assert reasons and set(reasons) <= {"cutoff", "excluded", "budget"}
+        assert "stop_reason" in iters[-1]["attrs"]
 
         # Parentage: queue_wait and run hang off the job root; the
         # dispatch span is run's child (and carries the backend used).
