@@ -1,5 +1,7 @@
 """Tests for the online/in-situ tuner (paper future work #2)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,41 @@ def _stream(n_frames=10, shape=(24, 24, 12), drift=0.03, jump_at=None, seed=51):
             f = f + 0.01 * r.standard_normal(shape)
         frames.append(f.astype(np.float32))
     return frames
+
+
+#: sha256 of every ``push`` payload over ``_stream(8, jump_at=4)`` (cold
+#: start, steady state, a regime change, recovery).  How the stale bound is
+#: checked may change; which bytes come out may not.
+_PUSH_SHA256 = {
+    "sz": [
+        "4e0b832afb2bf669c39fc4220a9a88422b2d0d311d0482e17cd839818e9df3ca",
+        "7c2aca7eb50e136a372b276e6c2a7fe6dc2bdd458e7626c3deaf886a7632612c",
+        "b8886b3184d5f11cd5ce83898caa06ca8de49906e4bbd763644477fa2ba7d1e2",
+        "864c90ada77676a5c8e1aab4bd1ee573960e699d38ffa8cf8dfdcca6285578c6",
+        "763a2f583795263b46a6868e64baecd7f827ffc50772f2438a6fa6813b44f79e",
+        "61fb96e8f6adacebbbcbf2d6af34b708a4c8a322b8b3c23ff5a91ce9f827f565",
+        "4c784f36ae10197083f7088304c62e67eda2878bcd63c1f1d58c7bb1c28cf9c9",
+        "a17e6c421ef5817549ecb51e383d237b06b517eca437f9ed40f2372d19de2cc2",
+    ],
+    "zfp": [
+        "1a660091d8efa998b71cc29c2fc569e9e447d4c1eefc95ffdf2e19d1d36eaa60",
+        "106997584118839deae3f372abc3ab41c93eb680c0dd74f7a0d44f8925d671b3",
+        "ec7123b8c18681aeb6390b0b42df0e2c2a38c08a068e5b7d552d5e6a17001e4a",
+        "0de537312f038be5aa8db627b613b26d0e32507b0dce25cea79f7571af4d2dd6",
+        "376d1095ce08de8e6d09b4868f84df4599b940983466238b1473f91628a6f6a8",
+        "ed647152021c3a87bf2a6bd76e83e4849d91a95b473e093a689e358e7d6fe5d5",
+        "2f2ee50ced53f423668a0de83f35c1ca996cf087776a1127e5a9a579edb81be1",
+        "5c7b1c336fd29072e2b3f90bd8460877fc12c266321b678e3adf64c42d51ede5",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PUSH_SHA256))
+def test_push_payload_bytes_pinned(name):
+    tuner = OnlineFRaZ(compressor=name, target_ratio=10.0, tolerance=0.1)
+    digests = [hashlib.sha256(tuner.push(f).payload.payload).hexdigest()
+               for f in _stream(8, jump_at=4)]
+    assert digests == _PUSH_SHA256[name]
 
 
 class TestOnlineFRaZ:

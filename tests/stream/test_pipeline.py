@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,38 @@ def _smooth(shape, seed=9, dtype=np.float32):
     axes = np.meshgrid(*(np.linspace(0, 9, s) for s in shape), indexing="ij")
     out = sum(np.sin(a + i) for i, a in enumerate(axes))
     return (out * np.float64(1.0)).astype(dtype)
+
+
+def _rough_lower_half(shape=(64, 48)):
+    """Smooth on top, noisy below: the bound trained on top misses below."""
+    axes = np.meshgrid(*(np.linspace(0, 9, s) for s in shape), indexing="ij")
+    out = sum(np.sin(a + i) for i, a in enumerate(axes))
+    half = shape[0] // 2
+    out[half:] += 0.5 * np.random.default_rng(3).standard_normal((shape[0] - half,) + shape[1:])
+    return out.astype(np.float32)
+
+
+#: sha256 of the whole ``.frzs`` file, per (compressor, max_error_bound).
+#: Every case retrains on the rough half; how the stale bound is checked
+#: may change, which bytes come out may not.
+_FRZS_SHA256 = {
+    ("sz", None): "e2760abce9b5646413354ca4d8858e12b84f06de53e6ea1579b1092af8ed4a0b",
+    ("sz", 0.02): "dd0f287e3292d6b5e84942552c9450303847ca2d3dd61d7a1461365fc89adaf5",
+    ("zfp", None): "1b62a98bb0800611c5e78e8019fb3c052737f0575f0e31c55922b87ca63b2cf5",
+    ("zfp", 0.02): "1ac1a553eb2c4badd3892b06397efba93e4ad2e641af89c568e214467205f98a",
+}
+
+
+@pytest.mark.parametrize("name,max_error_bound", sorted(_FRZS_SHA256, key=str))
+def test_retraining_stream_bytes_pinned(tmp_path, name, max_error_bound):
+    out = tmp_path / "f.frzs"
+    res = stream_compress(
+        _rough_lower_half(), out, compressor=name, target_ratio=8.0,
+        chunk_shape=(16, 48), train_chunks=2, regions=4,
+        max_error_bound=max_error_bound,
+    )
+    assert res.retrains >= 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _FRZS_SHA256[name, max_error_bound]
 
 
 class TestChunkTuner:
