@@ -219,8 +219,6 @@ def _execute_stream(request, *, cache, own_cache, executor, workers,
             workers=workers if workers is not None else 1,
             executor=executor,
             train_chunks=opts.get("train_chunks", 4),
-            drift_margin=opts.get("drift_margin", 0.0),
-            drift_window=opts.get("drift_window", 4),
             seed=seed,
             cache=cache if cache is not None else False,
             shape=opts.get("shape"),

@@ -49,8 +49,6 @@ _EXECUTORS = ("serial", "thread", "process")
 STREAM_OPTION_KEYS = (
     "chunk_shape",
     "train_chunks",
-    "drift_margin",
-    "drift_window",
     "shape",
     "dtype",
 )
@@ -270,15 +268,11 @@ class CompressionRequest:
         for key in ("chunk_shape", "shape"):
             if normalized.get(key) is not None:
                 normalized[key] = _shape_tuple(normalized[key], f"stream_options.{key}")
-        for key in ("train_chunks", "drift_window"):
-            if key in normalized and (
-                isinstance(normalized[key], bool)
-                or not isinstance(normalized[key], int)
-                or normalized[key] < 1
-            ):
-                raise RequestError(
-                    f"stream_options.{key} must be a positive int, got {normalized[key]!r}"
-                )
+        train_chunks = normalized.get("train_chunks", 1)
+        if isinstance(train_chunks, bool) or not isinstance(train_chunks, int) or train_chunks < 1:
+            raise RequestError(
+                f"stream_options.train_chunks must be a positive int, got {train_chunks!r}"
+            )
         object.__setattr__(self, "stream_options", normalized)
 
     # -- data access -------------------------------------------------------

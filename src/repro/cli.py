@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="out-of-core chunked compression to a .frzs container",
         description="Compress a larger-than-memory .npy or raw binary file "
                     "chunk by chunk, training the error bound on a prefix of "
-                    "chunks and reusing it with drift detection.",
+                    "chunks and retraining on any chunk that misses the band.",
     )
     p.add_argument("input", help="input .npy file (or raw binary with --shape/--dtype)")
     p.add_argument("output", help="output .frzs container")
@@ -173,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="executor backend (default: thread when --workers > 1)")
     p.add_argument("--train-chunks", type=int, default=4,
                    help="chunks in the tuning prefix (default 4)")
-    p.add_argument("--drift-margin", type=float, default=0.0,
-                   help="pre-emptive retrain margin in (0, 1); 0 disables")
     p.add_argument("--shape", type=parse_chunk_shape, default=None, metavar="N,N,...",
                    help="array shape for raw (non-.npy) binary input")
     p.add_argument("--dtype", default=None,
@@ -443,10 +441,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    stream_options: dict = {
-        "train_chunks": args.train_chunks,
-        "drift_margin": args.drift_margin,
-    }
+    stream_options: dict = {"train_chunks": args.train_chunks}
     if args.chunk_shape is not None:
         stream_options["chunk_shape"] = args.chunk_shape
     if args.shape is not None:

@@ -9,11 +9,12 @@ when the target is infeasible).
 Internals map one-to-one onto the paper:
 
 * :mod:`repro.core.loss` — the clamped-square loss (Sec. V-B2);
-* :mod:`repro.core.worker` — Algorithm 1 (worker task with prediction
-  reuse and the cutoff-equipped optimizer);
+* :mod:`repro.core.worker` — Algorithm 1 (the cutoff-equipped optimizer
+  over one region);
 * :mod:`repro.core.regions` — overlapping error-bound regions (Fig. 5);
-* :mod:`repro.core.training` — Algorithm 2 (parallel regions,
-  first-success cancellation, closest-observation fallback);
+* :mod:`repro.core.training` — Algorithm 2 (the prediction probe,
+  parallel regions, first-success cancellation, closest-observation
+  fallback);
 * :mod:`repro.core.fields` — Algorithm 3 (parallel by field) plus the
   time-step error-bound reuse optimisation;
 * :mod:`repro.core.baselines` — binary/grid search comparators.

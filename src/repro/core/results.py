@@ -30,7 +30,6 @@ class WorkerResult:
     feasible: bool
     evaluations: int
     region: tuple[float, float]
-    used_prediction: bool
     compress_seconds: float
     cache_hits: int = 0
     cache_misses: int = 0
@@ -55,6 +54,7 @@ class TrainingResult:
     evaluations: int
     compress_seconds: float
     wall_seconds: float
+    #: the prediction's one probe landed in the band and was returned.
     used_prediction: bool
     workers: tuple[WorkerResult, ...] = ()
     cache_hits: int = 0

@@ -7,6 +7,11 @@ result inside the acceptance band cancels everything not yet started
 (lines 7-14); if none succeeds, the result whose ratio is *closest* to the
 target is reported and the request is deemed infeasible (lines 17-25).
 
+Before any of that, a search given a *prediction* (the previous time-step's
+bound, Sec. V-C) compresses at it once; a ratio inside the acceptance band
+returns it and skips the search (Algorithm 1, lines 1-6, made once per
+search instead of once per region).  A miss starts the regions cold.
+
 The paper found 12 regions the sweet spot ("there seems to be a floor for
 how many iterations are required to converge"); that is the default.
 
@@ -29,7 +34,7 @@ import numpy as np
 from repro.cache.evalcache import CacheEntry, EvalCache
 from repro.core.regions import split_regions
 from repro.core.results import TrainingResult, WorkerResult
-from repro.core.worker import worker_task
+from repro.core.worker import probe_task, worker_task
 from repro.parallel.executor import BaseExecutor, SerialExecutor
 from repro.pressio.compressor import Compressor
 
@@ -48,15 +53,14 @@ def _run_worker(payload: tuple) -> tuple[WorkerResult, dict[str, CacheEntry] | N
     workers write straight into the parent's instance and a delta would
     be a wasted copy.
     """
-    (compressor, data, target, tolerance, region, prediction, max_calls, seed,
-     cache, ship_delta) = payload
+    (compressor, data, target, tolerance, region, max_calls, seed, cache,
+     ship_delta) = payload
     result = worker_task(
         compressor,
         data,
         target,
         tolerance,
         region,
-        prediction=prediction,
         max_calls=max_calls,
         seed=seed,
         cache=cache,
@@ -92,6 +96,12 @@ def train(
     merged back so later searches (other regions, time-steps, baselines)
     reuse them.
 
+    ``prediction`` is the previous time-step's bound.  It is compressed
+    once, and only when it lies inside ``[lower, upper]``: one outside costs
+    no probe, so a stale bound above ``U`` is never returned (Eq. 2).  In
+    the band, it is the result (``used_prediction``); otherwise the regions
+    search cold and the probe's cost counts toward the search's.
+
     ``keep_payload`` puts the winning probe's ``CompressedField`` on the
     result when the worker that made it ran the compressor (not on a cache
     hit): the caller about to compress at ``error_bound`` already has the
@@ -106,33 +116,19 @@ def train(
     if not hi > lo:
         raise ValueError(f"invalid error-bound range [{lo}, {hi}]")
 
-    # Fast path (Algorithm 1 lines 1-6 at the orchestration level): when a
-    # prediction exists, one worker checks it before any region fan-out.
-    # A probe that does *not* short-circuit still did real work — it is
-    # folded into the fan-out totals below so evaluation/cache accounting
-    # stays honest.
+    # Algorithm 1 lines 1-6, once for the whole search.
     probe = None
-    if prediction is not None and prediction > 0:
-        probe = worker_task(
-            compressor,
-            data,
-            target_ratio,
-            tolerance,
-            (lo, hi),
-            prediction=prediction,
-            max_calls=1,
-            seed=seed,
-            cache=cache,
-        )
-        if probe.used_prediction and probe.feasible:
-            return _result(probe, (probe,), target_ratio, tolerance, t0, keep_payload)
+    if prediction is not None and lo <= prediction <= hi:
+        probe = probe_task(compressor, data, target_ratio, tolerance, (lo, hi), prediction, cache)
+        if probe.feasible:
+            return _result(probe, (probe,), target_ratio, tolerance, t0, keep_payload, True)
 
     executor = executor or SerialExecutor()
     ship_delta = cache is not None and not getattr(executor, "shares_memory", True)
     region_list = split_regions(lo, hi, regions, overlap)
     payloads = [
-        (compressor, data, target_ratio, tolerance, region, None, max_calls_per_region,
-         seed + i, cache, ship_delta)
+        (compressor, data, target_ratio, tolerance, region, max_calls_per_region, seed + i,
+         cache, ship_delta)
         for i, region in enumerate(region_list)
     ]
     completed = executor.run_cancellable(
@@ -158,7 +154,7 @@ def train(
     else:
         best = min(workers, key=lambda w: (w.ratio - target_ratio) ** 2)
 
-    return _result(best, workers, target_ratio, tolerance, t0, keep_payload)
+    return _result(best, workers, target_ratio, tolerance, t0, keep_payload, False)
 
 
 def _result(
@@ -168,6 +164,7 @@ def _result(
     tolerance: float,
     t0: float,
     keep_payload: bool,
+    used_prediction: bool,
 ) -> TrainingResult:
     """The search's result: ``best``'s verdict, every worker's cost."""
     return TrainingResult(
@@ -179,7 +176,7 @@ def _result(
         evaluations=sum(w.evaluations for w in workers),
         compress_seconds=sum(w.compress_seconds for w in workers),
         wall_seconds=time.perf_counter() - t0,
-        used_prediction=best.used_prediction,
+        used_prediction=used_prediction,
         # Only the winner's payload leaves, and only on request: a dozen
         # regions' incumbents must not stay alive inside a kept result.
         workers=tuple(dataclasses.replace(w, payload=None) for w in workers),

@@ -25,7 +25,7 @@ the original coordinates.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +45,6 @@ def find_global_min(
     max_calls: int = 40,
     cutoff: float | None = None,
     seed: int = 0,
-    initial_points: Iterable[float] = (),
     residual: Callable[[float], float] | None = None,
 ) -> OptimizationResult:
     """Minimise a scalar black-box function over ``[lower, upper]``.
@@ -62,9 +61,6 @@ def find_global_min(
         Early-termination threshold: stop as soon as ``f(x) <= cutoff``.
     seed:
         Seed for the (deterministic) candidate jitter.
-    initial_points:
-        Extra probes to evaluate first — FRaZ seeds the previous time-step's
-        error bound here.  Never trimmed by the seeding budget.
     residual:
         Internal hook of FRaZ's region workers: maps a probe already made
         to the signed distance of what it observed from the target, in
@@ -89,18 +85,12 @@ def find_global_min(
     if use_log:
         t_lower, t_upper = float(np.log(lower)), float(np.log(upper))
 
-        def to_t(x: float) -> float:
-            return float(np.log(np.clip(x, lower, upper)))
-
         def from_t(t: float) -> float:
             # Clip in x-space too: exp(log(upper)) can overshoot by one ULP.
             return float(np.clip(np.exp(np.clip(t, t_lower, t_upper)), lower, upper))
 
     else:
         t_lower, t_upper = float(lower), float(upper)
-
-        def to_t(x: float) -> float:
-            return float(np.clip(x, lower, upper))
 
         def from_t(t: float) -> float:
             return float(np.clip(t, lower, upper))
@@ -130,21 +120,18 @@ def find_global_min(
             return "excluded"
         return None
 
-    # Seed probes in t-space: user points first (never trimmed), then the
-    # interval ends and interior quantiles, capped at half the budget so
-    # the optimizer proper keeps its share of probes.
-    user_seeds = [to_t(float(p)) for p in initial_points]
+    # Seed probes in t-space: the interval ends and interior quantiles,
+    # capped at half the budget so the optimizer proper keeps its share of
+    # probes.
     t_span = t_upper - t_lower
-    generic = [
+    seeds = [
         t_lower,
         t_upper,
         t_lower + 0.5 * t_span,
         t_lower + 0.25 * t_span,
         t_lower + 0.75 * t_span,
         t_lower + 0.61803398875 * t_span,
-    ]
-    budget = max(3, max_calls // 2)
-    seeds = user_seeds + generic[: max(budget - len(user_seeds), 2)]
+    ][: max(3, max_calls // 2)]
     for t in seeds:
         if stop_reason():
             break

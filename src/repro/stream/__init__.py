@@ -9,7 +9,7 @@ HACC/CESM scales the paper targets.  This package removes the cap:
   included) from ``.npy`` / raw binary files without loading them;
 * :mod:`repro.stream.tuner` — :class:`ChunkTuner`, which trains the error
   bound on a sampled prefix of chunks and reuses it, retraining on band
-  misses or when a :class:`repro.core.online.DriftMonitor` predicts one;
+  misses;
 * :mod:`repro.stream.container` — the self-describing multi-chunk
   ``.frzs`` format (:class:`ShardWriter` / :class:`StreamedField`) built
   on the version-2 streamed :mod:`repro.codecs.container` layout;

@@ -3,8 +3,9 @@
 :func:`stream_compress` threads the pieces together: a
 :class:`~repro.stream.chunks.ChunkReader` memory-maps the source and yields
 blocks, a :class:`~repro.stream.tuner.ChunkTuner` trains the error bound on
-a sampled prefix of chunks and reuses it with drift detection, batches of
-chunks fan through a :class:`~repro.parallel.executor.BaseExecutor`, and a
+a sampled prefix of chunks and refits it on any later chunk that leaves the
+band, batches of chunks fan through a
+:class:`~repro.parallel.executor.BaseExecutor`, and a
 :class:`~repro.stream.container.ShardWriter` appends each payload to the
 output as soon as it exists.  Peak memory is bounded by the in-flight batch
 (``workers`` chunks plus compression intermediates), never by the dataset:
@@ -56,7 +57,7 @@ class StreamResult:
     original_nbytes: int
     compressed_nbytes: int
     error_bound: float
-    #: full searches beyond the initial training fit (band misses + drift).
+    #: full searches beyond the first one (band misses).
     retrains: int
     evaluations: int
     cache_hits: int
@@ -122,8 +123,6 @@ def stream_compress(
     workers: int = 1,
     executor: BaseExecutor | str | None = None,
     train_chunks: int = 4,
-    drift_margin: float = 0.0,
-    drift_window: int = 4,
     regions: int = DEFAULT_REGIONS,
     overlap: float = DEFAULT_OVERLAP,
     max_calls_per_region: int = 16,
@@ -137,8 +136,8 @@ def stream_compress(
     """Compress a larger-than-memory source into a ``.frzs`` container.
 
     Exactly one of ``target_ratio`` (FRaZ-tuned, trained on a prefix of
-    ``train_chunks`` chunks and reused with drift detection) and
-    ``error_bound`` (fixed bound, no tuning) must be given.
+    ``train_chunks`` chunks and refitted on any chunk that misses the band)
+    and ``error_bound`` (fixed bound, no tuning) must be given.
 
     ``source`` is a ``.npy`` path, a raw binary path (then ``shape`` and
     ``dtype`` are required), or an in-memory array.  ``max_memory`` caps
@@ -188,8 +187,6 @@ def stream_compress(
                 executor=pool,
                 cache=eval_cache,
                 seed=seed,
-                drift_margin=drift_margin,
-                drift_window=drift_window,
             )
             n_train = max(1, min(train_chunks, reader.n_chunks))
             # Sampled prefix: blocks are read (and released) one at a time.
@@ -232,10 +229,9 @@ def stream_compress(
                                 eval_cache.put(key, CacheEntry(ratio, len(payload), seconds))
                         retrained = False
                         if tuner is not None:
-                            tuner.observe(ratio)
-                            if tuner.should_retrain(ratio):
+                            if not tuner.in_band(ratio):
                                 retrained = True
-                                new_bound = tuner.retrain(block)
+                                new_bound = tuner.fit((block,))
                                 if new_bound != batch_bound:
                                     bound = new_bound
                                     payload, _orig, ratio, seconds = _compress_chunk(

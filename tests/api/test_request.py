@@ -115,6 +115,18 @@ class TestValidation:
                                  stream_options={"chunk_shape": [16, 16]})
         assert req.stream_options["chunk_shape"] == (16, 16)
 
+    @pytest.mark.parametrize("options,match", [
+        ({"drift_margin": 0.5}, "unknown stream_options"),
+        ({"drift_window": 4}, "unknown stream_options"),
+        ({"train_chunks": 0}, "train_chunks"),
+        ({"train_chunks": True}, "train_chunks"),
+        ({"train_chunks": None}, "train_chunks"),
+    ])
+    def test_stream_options_rejected(self, options, match):
+        with pytest.raises(ValueError, match=match):
+            CompressionRequest(kind="stream", target_ratio=8.0, input="x.npy",
+                               output="o.frzs", stream_options=options)
+
     def test_resources_validated(self, data):
         with pytest.raises(ValueError, match="executor"):
             tune_request(data, resources=Resources(executor="gpu"))

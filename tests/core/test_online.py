@@ -102,20 +102,11 @@ class TestOnlineFRaZ:
         res = tuner.push(_stream(1)[0])
         assert res.error_bound <= 1e-4
 
-    def test_drift_margin_preemptive_retrain(self):
-        # With an aggressive margin, slow drift retrains before a miss.
-        tuner = OnlineFRaZ(compressor="sz", target_ratio=10.0, tolerance=0.1,
-                           drift_margin=0.95, drift_window=2)
-        results = [tuner.push(f) for f in _stream(6, drift=0.1)]
-        assert sum(r.retrained for r in results) >= 2
-
     def test_validation(self):
         with pytest.raises(ValueError):
             OnlineFRaZ(target_ratio=0)
         with pytest.raises(ValueError):
             OnlineFRaZ(tolerance=1.5)
-        with pytest.raises(ValueError):
-            OnlineFRaZ(drift_margin=1.5)
 
     def test_band_property(self):
         tuner = OnlineFRaZ(target_ratio=20.0, tolerance=0.05)

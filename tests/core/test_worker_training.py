@@ -41,31 +41,6 @@ class TestWorkerTask:
         again = sz.with_error_bound(res.error_bound).compress(field).ratio
         assert again == pytest.approx(res.ratio)
 
-    def test_prediction_short_circuit(self, sz, field):
-        lo, hi = sz.default_bound_range(field)
-        first = worker_task(sz, field, 10.0, 0.1, (lo, hi))
-        res = worker_task(sz, field, 10.0, 0.1, (lo, hi), prediction=first.error_bound)
-        assert res.used_prediction
-        assert res.evaluations == 1
-
-    def test_prediction_reports_the_bound_it_probed(self, sz, field):
-        # The closure normalises bounds to 12 digits: a prediction that is
-        # not 12-digit clean is probed at its normalised value, and that is
-        # the bound the reported ratio belongs to.
-        lo, hi = sz.default_bound_range(field)
-        first = worker_task(sz, field, 10.0, 0.1, (lo, hi))
-        noisy = first.error_bound * (1.0 + 3e-14)
-        assert normalize_bound(noisy) != noisy
-        res = worker_task(sz, field, 10.0, 0.1, (lo, hi), prediction=noisy)
-        assert res.used_prediction
-        assert res.error_bound == normalize_bound(noisy)
-        assert sz.with_error_bound(res.error_bound).compress(field).ratio == res.ratio
-
-    def test_bad_prediction_falls_through(self, sz, field):
-        lo, hi = sz.default_bound_range(field)
-        res = worker_task(sz, field, 10.0, 0.1, (lo, hi), prediction=hi)
-        assert not res.used_prediction
-
     def test_infeasible_returns_closest(self, sz, field):
         lo, hi = sz.default_bound_range(field)
         # Every bound yields CR >= ~1.06, so 0.5 sits below the floor.
@@ -132,6 +107,37 @@ class TestTraining:
                     prediction=first.error_bound)
         assert res.used_prediction
         assert res.evaluations == 1
+
+    def test_prediction_short_circuit(self, sz, field):
+        first = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0)
+        res = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0,
+                    prediction=first.error_bound)
+        assert res.used_prediction and res.feasible
+        # One probe, reported as the only worker: no region ever started.
+        (probe,) = res.workers
+        assert probe.evaluations == 1
+        assert probe.stop_reason == "cutoff"
+
+    def test_prediction_reports_the_bound_it_probed(self, sz, field):
+        # The closure normalises bounds to 12 digits: a prediction that is
+        # not 12-digit clean is probed at its normalised value, and that is
+        # the bound the reported ratio belongs to.
+        first = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0)
+        noisy = first.error_bound * (1.0 + 3e-14)
+        assert normalize_bound(noisy) != noisy
+        res = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0, prediction=noisy)
+        assert res.used_prediction
+        assert res.error_bound == normalize_bound(noisy)
+        assert sz.with_error_bound(res.error_bound).compress(field).ratio == res.ratio
+
+    def test_bad_prediction_falls_through(self, sz, field):
+        _, hi = sz.default_bound_range(field)
+        res = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0, prediction=hi)
+        assert not res.used_prediction
+        # The miss cost one probe; the regions then searched and found the band.
+        assert res.workers[0].evaluations == 1
+        assert res.workers[0].stop_reason == "budget"
+        assert res.feasible
 
     def test_failed_probe_is_accounted(self, sz, field):
         # A prediction probe that does NOT short-circuit must still show

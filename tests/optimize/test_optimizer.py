@@ -110,12 +110,6 @@ class TestFindGlobalMin:
         r = find_global_min(lambda x: x + 1, 0, 1, max_calls=5, seed=0)
         assert not r.hit_cutoff
 
-    def test_initial_points_evaluated_first(self):
-        r = find_global_min(lambda x: (x - 2) ** 2, 0, 10, max_calls=10, seed=0,
-                            initial_points=[2.0], cutoff=1e-12)
-        assert r.n_calls == 1
-        assert r.x_best == 2.0
-
     def test_best_is_min_of_history(self):
         r = find_global_min(lambda x: np.cos(5 * x), 0, 3, max_calls=20, seed=1)
         assert r.f_best == min(h.fx for h in r.history)

@@ -1,4 +1,4 @@
-"""Pipeline behaviour: tuning, drift retrains, memory cap, CLI."""
+"""Pipeline behaviour: tuning, band-miss retrains, memory cap, CLI."""
 
 from __future__ import annotations
 
@@ -82,19 +82,6 @@ class TestChunkTuner:
         # Same chunk twice: the second pass verifies against cached probes.
         tuner.fit([chunk, chunk])
         assert tuner.cache_hits >= 1
-
-    def test_should_retrain_on_band_miss_and_drift(self):
-        tuner = ChunkTuner(
-            compressor=make_compressor("sz"), target_ratio=10.0,
-            tolerance=0.1, drift_margin=0.5, drift_window=2,
-        )
-        assert tuner.should_retrain(20.0)       # hard miss
-        assert not tuner.should_retrain(10.0)   # centred, no history
-        # Ratios hugging the band edge trip the drift monitor once the
-        # window fills, even though each is technically still in band.
-        tuner.observe(10.9)
-        tuner.observe(10.9)
-        assert tuner.should_retrain(10.9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
