@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.fields import tune_time_series
 from repro.core.loss import clamped_absolute_loss, clamped_square_loss, cutoff_for
-from repro.core.training import train
+from repro.core.training import SearchSpec, train
 from repro.optimize import find_global_min
 from repro.pressio.closures import RatioFunction
 from repro.sz.compressor import SZCompressor
@@ -75,9 +75,9 @@ def test_ablation_region_overlap(benchmark, report, hurricane_small):
             evals = []
             feas = 0
             for target in (6.0, 10.0, 16.0):
-                res = train(SZCompressor(), data, target, tolerance=0.1,
-                            regions=6, overlap=overlap,
-                            max_calls_per_region=10, seed=0)
+                res = train(SZCompressor(), data,
+                            SearchSpec(target, tolerance=0.1, regions=6, overlap=overlap,
+                                       max_calls_per_region=10, seed=0))
                 evals.append(res.evaluations)
                 feas += res.feasible
             stats[overlap] = (float(np.mean(evals)), feas)
@@ -102,8 +102,9 @@ def test_ablation_region_count(benchmark, report, hurricane_small):
     def run():
         stats = {}
         for k in (1, 4, 12, 24):
-            res = train(SZCompressor(), data, 10.0, tolerance=0.1,
-                        regions=k, max_calls_per_region=10, seed=0)
+            res = train(SZCompressor(), data,
+                        SearchSpec(10.0, tolerance=0.1, regions=k, max_calls_per_region=10,
+                                   seed=0))
             stats[k] = (res.evaluations, res.feasible, res.wall_seconds)
         return stats
 
@@ -126,10 +127,9 @@ def test_ablation_timestep_reuse(benchmark, report, hurricane_small):
     series = hurricane_small.fields["TCf"].steps[:8]
 
     def run():
-        with_reuse = tune_time_series(SZCompressor(), series, 10.0,
-                                      tolerance=0.1, seed=0)
-        without = tune_time_series(SZCompressor(), series, 10.0,
-                                   tolerance=0.1, seed=0,
+        with_reuse = tune_time_series(SZCompressor(), series,
+                                      SearchSpec(10.0, tolerance=0.1, seed=0))
+        without = tune_time_series(SZCompressor(), series, SearchSpec(10.0, tolerance=0.1, seed=0),
                                    reuse_prediction=False)
         return with_reuse, without
 

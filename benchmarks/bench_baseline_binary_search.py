@@ -11,7 +11,7 @@ non-monotonic curves (Fig. 3) bisection can fail outright.
 from __future__ import annotations
 
 from repro.core.baselines import binary_search_ratio, grid_search_ratio
-from repro.core.training import train
+from repro.core.training import SearchSpec, train
 from repro.sz.compressor import SZCompressor
 
 
@@ -20,8 +20,8 @@ def test_baseline_iteration_comparison(benchmark, report, hurricane_small):
     target = 8.0
 
     def run():
-        fraz = train(SZCompressor(), data, target, tolerance=0.1,
-                     regions=6, max_calls_per_region=12, seed=0)
+        fraz = train(SZCompressor(), data,
+                     SearchSpec(target, tolerance=0.1, regions=6, max_calls_per_region=12, seed=0))
         binary = binary_search_ratio(SZCompressor(), data, target,
                                      tolerance=0.1, max_calls=64)
         grid = grid_search_ratio(SZCompressor(), data, target,

@@ -26,6 +26,7 @@ from repro.analysis.sweeps import feasible_ratio_range
 from repro.cache import EvalCache
 from repro.core.baselines import binary_search_ratio, grid_search_ratio
 from repro.core.fields import tune_fields
+from repro.core.training import SearchSpec
 from repro.sz.compressor import SZCompressor
 
 TARGETS = (6.0, 8.0, 10.0)
@@ -60,7 +61,7 @@ def _run_workload(cache: EvalCache | None) -> tuple[int, int]:
         calls = cache.stats.misses
 
     for target in TARGETS:
-        res = tune_fields(sz, fields, target, regions=REGIONS, seed=0, cache=cache)
+        res = tune_fields(sz, fields, SearchSpec(target, regions=REGIONS, seed=0), cache=cache)
         calls += res.total_compressor_calls
         probes += res.total_evaluations
         # Baseline comparison on each field's training step, as the
@@ -101,8 +102,8 @@ def test_cached_results_identical_to_uncached(report):
     """The cache must be invisible in results: same bounds, same ratios."""
     sz = SZCompressor()
     fields = _make_fields()
-    plain = tune_fields(sz, fields, 8.0, regions=REGIONS, seed=0)
-    cached = tune_fields(sz, fields, 8.0, regions=REGIONS, seed=0, cache=EvalCache())
+    plain = tune_fields(sz, fields, SearchSpec(8.0, regions=REGIONS, seed=0))
+    cached = tune_fields(sz, fields, SearchSpec(8.0, regions=REGIONS, seed=0), cache=EvalCache())
     for name in fields:
         for s_plain, s_cached in zip(plain.fields[name].steps, cached.fields[name].steps):
             assert s_plain.error_bound == s_cached.error_bound
@@ -115,8 +116,8 @@ def test_training_result_reports_hit_miss_counts():
     sz = SZCompressor()
     fields = _make_fields()
     cache = EvalCache()
-    first = tune_fields(sz, fields, 8.0, regions=REGIONS, seed=0, cache=cache)
-    second = tune_fields(sz, fields, 8.0, regions=REGIONS, seed=0, cache=cache)
+    first = tune_fields(sz, fields, SearchSpec(8.0, regions=REGIONS, seed=0), cache=cache)
+    second = tune_fields(sz, fields, SearchSpec(8.0, regions=REGIONS, seed=0), cache=cache)
     for res in (first, second):
         for ts in res.fields.values():
             for step in ts.steps:

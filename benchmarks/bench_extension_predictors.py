@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.training import train
+from repro.core.training import SearchSpec, train
 from repro.metrics import psnr
 from repro.pressio import make_compressor
 
@@ -61,8 +61,9 @@ def test_fraz_generic_over_all_abs_compressors(benchmark, report, nyx_small):
         out = {}
         for name in backends:
             comp = make_compressor(name)
-            res = train(comp, data, target, tolerance=0.15, regions=4,
-                        max_calls_per_region=10, seed=0)
+            res = train(comp, data,
+                        SearchSpec(target, tolerance=0.15, regions=4, max_calls_per_region=10,
+                                   seed=0))
             out[name] = res
         return out
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.loss import clamped_square_loss
-from repro.core.training import train
+from repro.core.training import SearchSpec, train
 from repro.pressio.closures import RatioFunction
 from repro.zfp.compressor import ZFPCompressor
 
@@ -64,8 +64,7 @@ def test_fig04_loss_landscape(benchmark, report, hurricane_small):
 
     # (b) Feasible vs infeasible targets behave as the figure describes.
     on_step = float(distinct[np.argmin(np.abs(distinct - 10.0))])
-    feasible = train(ZFPCompressor(), data, on_step, tolerance=0.1,
-                     regions=4, seed=0)
+    feasible = train(ZFPCompressor(), data, SearchSpec(on_step, tolerance=0.1, regions=4, seed=0))
     assert feasible.feasible
 
     # A target in a gap between consecutive steps (if one is wide enough).
@@ -75,8 +74,9 @@ def test_fig04_loss_landscape(benchmark, report, hurricane_small):
     if hi_step / lo_step > 1.5:
         mid = float(np.sqrt(lo_step * hi_step))
         tol = min(0.05, (hi_step / mid - 1) * 0.4, (1 - lo_step / mid) * 0.4)
-        infeasible = train(ZFPCompressor(), data, mid, tolerance=tol,
-                           regions=4, max_calls_per_region=8, seed=0)
+        infeasible = train(ZFPCompressor(), data,
+                           SearchSpec(mid, tolerance=tol, regions=4, max_calls_per_region=8,
+                                      seed=0))
         report(
             f"gap target rho_t={mid:.2f} (steps {lo_step:.2f}/{hi_step:.2f}): "
             f"feasible={infeasible.feasible}, closest ratio={infeasible.ratio:.2f}"

@@ -9,6 +9,7 @@ This bench reproduces both regimes on the CLOUDf analog series.
 from __future__ import annotations
 
 from repro.core.fields import tune_time_series
+from repro.core.training import SearchSpec
 from repro.sz.compressor import SZCompressor
 
 
@@ -22,8 +23,7 @@ def test_fig06_good_convergence_case(benchmark, report, hurricane_small):
 
     res = benchmark.pedantic(
         lambda: tune_time_series(
-            SZCompressor(), series, target, tolerance=0.1,
-            field_name="CLOUDf", seed=0,
+            SZCompressor(), series, SearchSpec(target, tolerance=0.1, seed=0), field_name="CLOUDf",
         ),
         rounds=1,
         iterations=1,
@@ -62,8 +62,9 @@ def test_fig06_bad_convergence_case(benchmark, report, hurricane_small):
 
     res = benchmark.pedantic(
         lambda: tune_time_series(
-            SZCompressor(), series, target, tolerance=0.02,
-            field_name="CLOUDf", max_calls_per_region=5, regions=4, seed=0,
+            SZCompressor(), series,
+            SearchSpec(target, tolerance=0.02, max_calls_per_region=5, regions=4, seed=0),
+            field_name="CLOUDf",
         ),
         rounds=1,
         iterations=1,
@@ -92,11 +93,12 @@ def test_fig06_larger_tolerance_rescues_bad_case(benchmark, report, hurricane_sm
     reachable = sz.with_error_bound(span * 0.02).compress(series[0]).ratio
     target = reachable * 1.1
 
-    tight = tune_time_series(SZCompressor(), series, target, tolerance=0.02,
-                             max_calls_per_region=6, regions=6, seed=0)
+    tight = tune_time_series(SZCompressor(), series,
+                             SearchSpec(target, tolerance=0.02, max_calls_per_region=6, regions=6,
+                                        seed=0))
     loose = benchmark.pedantic(
-        lambda: tune_time_series(SZCompressor(), series, target, tolerance=0.2,
-                                 regions=6, seed=0),
+        lambda: tune_time_series(SZCompressor(), series,
+                                 SearchSpec(target, tolerance=0.2, regions=6, seed=0)),
         rounds=1,
         iterations=1,
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fields import tune_time_series
+from repro.core.training import SearchSpec
 from repro.sz.compressor import SZCompressor
 
 
@@ -30,8 +31,9 @@ def test_fig07_target_sweep(benchmark, report, hurricane_small):
         rows = []
         for rho_t in targets:
             res = tune_time_series(
-                SZCompressor(), series, float(rho_t), tolerance=0.1,
-                regions=6, max_calls_per_region=10, seed=0,
+                SZCompressor(), series,
+                SearchSpec(float(rho_t), tolerance=0.1, regions=6, max_calls_per_region=10,
+                           seed=0),
             )
             rows.append(
                 (

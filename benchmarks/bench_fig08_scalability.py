@@ -14,6 +14,7 @@ durations are replayed through a deterministic list scheduler
 from __future__ import annotations
 
 from repro.core.fields import tune_time_series
+from repro.core.training import SearchSpec
 from repro.parallel.simulate import simulate_scaling
 from repro.pressio import make_compressor
 
@@ -27,8 +28,9 @@ def _task_durations(dataset, compressor, target, steps):
     durations = {}
     for name, series in dataset.field_arrays().items():
         res = tune_time_series(
-            compressor, series[:steps], target, tolerance=0.1,
-            regions=4, max_calls_per_region=5, field_name=name, seed=0,
+            compressor, series[:steps],
+            SearchSpec(target, tolerance=0.1, regions=4, max_calls_per_region=5, seed=0),
+            field_name=name,
         )
         durations[name] = res.total_wall_seconds
     return durations

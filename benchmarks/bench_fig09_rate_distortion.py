@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.training import train
+from repro.core.training import SearchSpec, train
 from repro.metrics import psnr
 from repro.pressio import make_compressor
 
@@ -34,8 +34,9 @@ def _fraz_point(comp_name: str, data: np.ndarray, target_ratio: float):
     comp = make_compressor(comp_name)
     if not comp.supports(data):
         return None
-    res = train(comp, data, target_ratio, tolerance=0.15, regions=4,
-                max_calls_per_region=10, seed=0)
+    res = train(comp, data,
+                SearchSpec(target_ratio, tolerance=0.15, regions=4, max_calls_per_region=10,
+                           seed=0))
     tuned = comp.with_error_bound(res.error_bound)
     field = tuned.compress(data)
     recon = tuned.decompress(field)

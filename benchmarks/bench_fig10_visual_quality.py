@@ -15,7 +15,7 @@ resolution-equivalent stress point is ~10:1 here, where both the ordering
 
 from __future__ import annotations
 
-from repro.core.training import train
+from repro.core.training import SearchSpec, train
 from repro.pressio import evaluate, make_compressor
 
 _TARGET = 10.0  # resolution-equivalent analog of the paper's 85:1
@@ -29,8 +29,9 @@ def test_fig10_quality_at_fixed_ratio(benchmark, report, nyx_paper):
         for comp_name, label in (
             ("sz", "SZ(FRaZ)"), ("zfp", "ZFP(FRaZ)"), ("mgard", "MGARD(FRaZ)"),
         ):
-            res = train(make_compressor(comp_name), data, _TARGET,
-                        tolerance=0.1, regions=4, max_calls_per_region=12, seed=0)
+            res = train(make_compressor(comp_name), data,
+                        SearchSpec(_TARGET, tolerance=0.1, regions=4, max_calls_per_region=12,
+                                   seed=0))
             rows[label] = evaluate(
                 make_compressor(comp_name, error_bound=res.error_bound), data
             )

@@ -41,8 +41,8 @@ def main() -> None:
     tuner = OnlineFRaZ(compressor="sz", target_ratio=target, tolerance=0.1)
     archive_path = Path(tempfile.gettempdir()) / "in_situ_run.frza"
 
-    print(f"in-situ run: target {target}:1, band [{tuner.band[0]:.1f}, "
-          f"{tuner.band[1]:.1f}]\n")
+    print(f"in-situ run: target {target}:1, band [{tuner.spec.band[0]:.1f}, "
+          f"{tuner.spec.band[1]:.1f}]\n")
     print(f"{'step':>4} {'ratio':>7} {'bound':>10} {'retrained':>10} {'ms':>7}")
 
     with Archive.create(archive_path) as archive:

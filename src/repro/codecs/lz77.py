@@ -128,6 +128,10 @@ def lz77_decompress(blob: bytes) -> bytes:
             dist, off = decode_uvarint(blob, off)
             if dist <= 0 or dist > len(out):
                 raise CorruptPayloadError(f"invalid match distance {dist}")
+            if length > n - len(out):
+                raise CorruptPayloadError(
+                    f"match of {length} bytes overruns the declared length {n}"
+                )
             start = len(out) - dist
             if dist >= length:
                 out += out[start : start + length]

@@ -14,7 +14,8 @@ Internals map one-to-one onto the paper:
 * :mod:`repro.core.regions` — overlapping error-bound regions (Fig. 5);
 * :mod:`repro.core.training` — Algorithm 2 (the prediction probe,
   parallel regions, first-success cancellation, closest-observation
-  fallback);
+  fallback) and :class:`~repro.core.training.SearchSpec`, the settings
+  every search takes;
 * :mod:`repro.core.fields` — Algorithm 3 (parallel by field) plus the
   time-step error-bound reuse optimisation;
 * :mod:`repro.core.baselines` — binary/grid search comparators.
@@ -28,7 +29,7 @@ from repro.core.online import OnlineFRaZ, OnlineStepResult
 from repro.core.quality import QualityResult, max_ratio_at_quality, tune_quality
 from repro.core.regions import split_regions
 from repro.core.results import FieldResult, TimeSeriesResult, TrainingResult, WorkerResult
-from repro.core.training import train
+from repro.core.training import SearchSpec, train
 from repro.core.worker import worker_task
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "OnlineFRaZ",
     "OnlineStepResult",
     "QualityResult",
+    "SearchSpec",
     "TimeSeriesResult",
     "TrainingResult",
     "WorkerResult",

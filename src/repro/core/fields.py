@@ -21,11 +21,13 @@ field-order merge.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.cache.evalcache import CacheEntry, EvalCache
-from repro.core.results import FieldResult, TimeSeriesResult, TrainingResult
-from repro.core.training import DEFAULT_OVERLAP, DEFAULT_REGIONS, train
+from repro.core.results import FieldResult, TimeSeriesResult
+from repro.core.training import SearchSpec, train
 from repro.parallel.executor import BaseExecutor, SerialExecutor
 from repro.pressio.compressor import Compressor
 
@@ -35,36 +37,26 @@ __all__ = ["tune_time_series", "tune_fields"]
 def tune_time_series(
     compressor: Compressor,
     series: list[np.ndarray],
-    target_ratio: float,
-    tolerance: float = 0.1,
+    spec: SearchSpec,
+    *,
     field_name: str = "field",
-    lower: float | None = None,
-    upper: float | None = None,
-    regions: int = DEFAULT_REGIONS,
-    overlap: float = DEFAULT_OVERLAP,
-    max_calls_per_region: int = 16,
     executor: BaseExecutor | None = None,
-    seed: int = 0,
     reuse_prediction: bool = True,
     cache: EvalCache | None = None,
 ) -> TimeSeriesResult:
-    """Tune every time-step of one field, reusing bounds across steps."""
+    """Tune every time-step of one field, reusing bounds across steps.
+
+    Step ``t`` searches with seed ``spec.seed + 1000 * t``.
+    """
     result = TimeSeriesResult(field_name=field_name)
     prediction: float | None = None
     for t, data in enumerate(series):
         step = train(
             compressor,
             data,
-            target_ratio,
-            tolerance=tolerance,
-            lower=lower,
-            upper=upper,
-            regions=regions,
-            overlap=overlap,
-            max_calls_per_region=max_calls_per_region,
+            dataclasses.replace(spec, seed=spec.seed + 1000 * t),
             prediction=prediction if reuse_prediction else None,
             executor=executor,
-            seed=seed + 1000 * t,
             cache=cache,
         )
         result.steps.append(step)
@@ -81,23 +73,13 @@ def _run_field(payload: tuple) -> tuple[TimeSeriesResult, dict[str, CacheEntry] 
     ``ship_delta`` is False for shared-memory executors, where the field
     tasks write straight into the parent's cache instance.
     """
-    (
-        compressor, series, target, tolerance, name, lower, upper,
-        regions, overlap, max_calls, seed, reuse, cache, ship_delta,
-    ) = payload
+    compressor, series, spec, name, reuse, cache, ship_delta = payload
     result = tune_time_series(
         compressor,
         series,
-        target,
-        tolerance=tolerance,
+        spec,
         field_name=name,
-        lower=lower,
-        upper=upper,
-        regions=regions,
-        overlap=overlap,
-        max_calls_per_region=max_calls,
         executor=None,  # regions run serially inside each field task
-        seed=seed,
         reuse_prediction=reuse,
         cache=cache,
     )
@@ -107,27 +89,24 @@ def _run_field(payload: tuple) -> tuple[TimeSeriesResult, dict[str, CacheEntry] 
 def tune_fields(
     compressor: Compressor,
     fields: dict[str, list[np.ndarray]],
-    target_ratio: float,
-    tolerance: float = 0.1,
-    lower: float | None = None,
-    upper: float | None = None,
-    regions: int = DEFAULT_REGIONS,
-    overlap: float = DEFAULT_OVERLAP,
-    max_calls_per_region: int = 16,
+    spec: SearchSpec,
+    *,
     executor: BaseExecutor | None = None,
-    seed: int = 0,
     reuse_prediction: bool = True,
     cache: EvalCache | None = None,
 ) -> FieldResult:
-    """Tune all fields of a dataset in parallel (Algorithm 3)."""
+    """Tune all fields of a dataset in parallel (Algorithm 3).
+
+    Field ``i`` (in ``fields`` order) searches with seed
+    ``spec.seed + 10_000 * i``.
+    """
     executor = executor or SerialExecutor()
     ship_delta = cache is not None and not getattr(executor, "shares_memory", True)
     names = list(fields)
     payloads = [
         (
-            compressor, fields[name], target_ratio, tolerance, name, lower, upper,
-            regions, overlap, max_calls_per_region, seed + 10_000 * i, reuse_prediction,
-            cache, ship_delta,
+            compressor, fields[name], dataclasses.replace(spec, seed=spec.seed + 10_000 * i),
+            name, reuse_prediction, cache, ship_delta,
         )
         for i, name in enumerate(names)
     ]

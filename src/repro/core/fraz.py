@@ -22,9 +22,8 @@ import numpy as np
 
 from repro.cache.evalcache import EvalCache
 from repro.core.fields import tune_fields, tune_time_series
-from repro.core.loss import acceptance_band
 from repro.core.results import FieldResult, TimeSeriesResult, TrainingResult
-from repro.core.training import DEFAULT_OVERLAP, DEFAULT_REGIONS, train
+from repro.core.training import SearchSpec, train
 from repro.parallel.executor import BaseExecutor, make_executor
 from repro.pressio.compressor import CompressedField, Compressor
 from repro.pressio.registry import make_compressor
@@ -74,23 +73,27 @@ class FRaZ:
 
     compressor: Compressor | str = "sz"
     target_ratio: float = 10.0
-    tolerance: float = 0.1
+    tolerance: float = SearchSpec.tolerance
     max_error_bound: float | None = None
-    regions: int = DEFAULT_REGIONS
-    overlap: float = DEFAULT_OVERLAP
-    max_calls_per_region: int = 16
+    regions: int = SearchSpec.regions
+    overlap: float = SearchSpec.overlap
+    max_calls_per_region: int = SearchSpec.max_calls_per_region
     executor: BaseExecutor | str = "serial"
     workers: int = 4
     seed: int = 0
     reuse_prediction: bool = True
     cache: EvalCache | bool = True
     cache_dir: str | None = None
+    #: The search every method runs, built (and checked) at construction.
+    spec: SearchSpec = dataclass_field(init=False, repr=False)
     _compressor: Compressor = dataclass_field(init=False, repr=False)
     _executor: BaseExecutor = dataclass_field(init=False, repr=False)
     _cache: EvalCache | None = dataclass_field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        acceptance_band(self.target_ratio, self.tolerance)  # validates both
+        self.spec = SearchSpec(self.target_ratio, self.tolerance, upper=self.max_error_bound,
+                               regions=self.regions, overlap=self.overlap,
+                               max_calls_per_region=self.max_calls_per_region, seed=self.seed)
         self._compressor = (
             make_compressor(self.compressor)
             if isinstance(self.compressor, str)
@@ -170,15 +173,9 @@ class FRaZ:
         return train(
             self._compressor,
             data,
-            self.target_ratio,
-            tolerance=self.tolerance,
-            upper=self.max_error_bound,
-            regions=self.regions,
-            overlap=self.overlap,
-            max_calls_per_region=self.max_calls_per_region,
+            self.spec,
             prediction=prediction,
             executor=self._executor,
-            seed=self.seed,
             cache=self._cache,
             keep_payload=keep_payload,
         )
@@ -190,15 +187,9 @@ class FRaZ:
         return tune_time_series(
             self._compressor,
             series,
-            self.target_ratio,
-            tolerance=self.tolerance,
+            self.spec,
             field_name=field_name,
-            upper=self.max_error_bound,
-            regions=self.regions,
-            overlap=self.overlap,
-            max_calls_per_region=self.max_calls_per_region,
             executor=self._executor,
-            seed=self.seed,
             reuse_prediction=self.reuse_prediction,
             cache=self._cache,
         )
@@ -208,14 +199,8 @@ class FRaZ:
         return tune_fields(
             self._compressor,
             fields,
-            self.target_ratio,
-            tolerance=self.tolerance,
-            upper=self.max_error_bound,
-            regions=self.regions,
-            overlap=self.overlap,
-            max_calls_per_region=self.max_calls_per_region,
+            self.spec,
             executor=self._executor,
-            seed=self.seed,
             reuse_prediction=self.reuse_prediction,
             cache=self._cache,
         )

@@ -15,13 +15,13 @@ compression to be repeated.
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.loss import acceptance_band
-from repro.core.training import DEFAULT_OVERLAP, DEFAULT_REGIONS, train
+from repro.core.training import SearchSpec, train
 from repro.parallel.executor import BaseExecutor
 from repro.pressio.compressor import CompressedField, Compressor
 from repro.pressio.registry import make_compressor
@@ -48,28 +48,28 @@ class OnlineFRaZ:
 
     compressor: Compressor | str = "sz"
     target_ratio: float = 10.0
-    tolerance: float = 0.1
+    tolerance: float = SearchSpec.tolerance
     max_error_bound: float | None = None
-    regions: int = DEFAULT_REGIONS
-    overlap: float = DEFAULT_OVERLAP
-    max_calls_per_region: int = 16
+    regions: int = SearchSpec.regions
+    overlap: float = SearchSpec.overlap
+    max_calls_per_region: int = SearchSpec.max_calls_per_region
     executor: BaseExecutor | None = None
     seed: int = 0
 
     current_bound: float | None = None
     frames_seen: int = 0
     retrain_count: int = 0
+    #: The search each frame runs, built (and checked) at construction.
+    spec: SearchSpec = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        acceptance_band(self.target_ratio, self.tolerance)  # validates both
+        self.spec = SearchSpec(self.target_ratio, self.tolerance, upper=self.max_error_bound,
+                               regions=self.regions, overlap=self.overlap,
+                               max_calls_per_region=self.max_calls_per_region, seed=self.seed)
         if isinstance(self.compressor, str):
             self.compressor = make_compressor(self.compressor)
 
     # ------------------------------------------------------------------
-    @property
-    def band(self) -> tuple[float, float]:
-        return acceptance_band(self.target_ratio, self.tolerance)
-
     def push(self, frame: np.ndarray) -> OnlineStepResult:
         """Compress one arriving frame at the target ratio."""
         frame = np.asarray(frame)
@@ -78,15 +78,9 @@ class OnlineFRaZ:
         result = train(
             self.compressor,
             frame,
-            self.target_ratio,
-            tolerance=self.tolerance,
-            upper=self.max_error_bound,
-            regions=self.regions,
-            overlap=self.overlap,
-            max_calls_per_region=self.max_calls_per_region,
+            dataclasses.replace(self.spec, seed=self.spec.seed + self.frames_seen),
             prediction=self.current_bound,
             executor=self.executor,
-            seed=self.seed + self.frames_seen,
             keep_payload=True,
         )
         retrained = not result.used_prediction
@@ -99,7 +93,7 @@ class OnlineFRaZ:
         if payload is None:
             payload = self.compressor.with_error_bound(result.error_bound).compress(frame)
             evaluations += 1
-        lo, hi = self.band
+        lo, hi = self.spec.band
         return OnlineStepResult(
             payload=payload,
             ratio=payload.ratio,

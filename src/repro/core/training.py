@@ -28,20 +28,57 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cache.evalcache import CacheEntry, EvalCache
+from repro.core.loss import acceptance_band
 from repro.core.regions import split_regions
 from repro.core.results import TrainingResult, WorkerResult
 from repro.core.worker import probe_task, worker_task
 from repro.parallel.executor import BaseExecutor, SerialExecutor
 from repro.pressio.compressor import Compressor
 
-__all__ = ["train"]
+__all__ = ["SearchSpec", "train"]
 
-DEFAULT_REGIONS = 12
-DEFAULT_OVERLAP = 0.1
+
+@dataclass(frozen=True)
+class SearchSpec:
+    """What one search looks for and how hard it looks, checked once.
+
+    ``target_ratio`` and ``tolerance`` are ``rho_t`` and ``eps``.
+    ``lower``/``upper`` default to the compressor's full admissible range;
+    ``upper`` is the user's maximum allowed compression error ``U`` (Eq. 2).
+    ``regions`` and ``overlap`` are Algorithm 2's ``k`` and ``alpha``
+    (Fig. 5), ``max_calls_per_region`` each region's probe budget, and
+    region ``i`` optimizes with seed ``seed + i``.
+    """
+
+    target_ratio: float
+    tolerance: float = 0.1
+    lower: float | None = None
+    upper: float | None = None
+    regions: int = 12
+    overlap: float = 0.1
+    max_calls_per_region: int = 16
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        acceptance_band(self.target_ratio, self.tolerance)  # validates both
+        if self.lower is not None and self.upper is not None and not self.upper > self.lower:
+            raise ValueError(f"invalid error-bound range [{self.lower}, {self.upper}]")
+        if self.regions < 1:
+            raise ValueError(f"need at least one region, got {self.regions}")
+        if not 0.0 <= self.overlap < 0.5:
+            raise ValueError(f"overlap must be in [0, 0.5), got {self.overlap}")
+        if self.max_calls_per_region < 1:
+            raise ValueError("max_calls must be >= 1")
+
+    @property
+    def band(self) -> tuple[float, float]:
+        """The ratios that count as hitting the target (Sec. V-B3)."""
+        return acceptance_band(self.target_ratio, self.tolerance)
 
 
 def _run_worker(payload: tuple) -> tuple[WorkerResult, dict[str, CacheEntry] | None]:
@@ -53,16 +90,15 @@ def _run_worker(payload: tuple) -> tuple[WorkerResult, dict[str, CacheEntry] | N
     workers write straight into the parent's instance and a delta would
     be a wasted copy.
     """
-    (compressor, data, target, tolerance, region, max_calls, seed, cache,
-     ship_delta) = payload
+    compressor, data, spec, region, cache, ship_delta = payload
     result = worker_task(
         compressor,
         data,
-        target,
-        tolerance,
+        spec.target_ratio,
+        spec.tolerance,
         region,
-        max_calls=max_calls,
-        seed=seed,
+        max_calls=spec.max_calls_per_region,
+        seed=spec.seed,
         cache=cache,
     )
     return result, (cache.new_entries() if cache is not None and ship_delta else None)
@@ -71,25 +107,17 @@ def _run_worker(payload: tuple) -> tuple[WorkerResult, dict[str, CacheEntry] | N
 def train(
     compressor: Compressor,
     data: np.ndarray,
-    target_ratio: float,
-    tolerance: float = 0.1,
-    lower: float | None = None,
-    upper: float | None = None,
-    regions: int = DEFAULT_REGIONS,
-    overlap: float = DEFAULT_OVERLAP,
-    max_calls_per_region: int = 16,
+    spec: SearchSpec,
+    *,
     prediction: float | None = None,
     executor: BaseExecutor | None = None,
-    seed: int = 0,
     cache: EvalCache | None = None,
     keep_payload: bool = False,
 ) -> TrainingResult:
-    """Find an error bound whose ratio hits ``target_ratio`` within ``tolerance``.
+    """Find an error bound whose ratio lands in ``spec.band``.
 
-    ``lower``/``upper`` default to the compressor's full admissible range;
-    pass ``upper`` explicitly to impose the user's maximum allowed
-    compression error ``U`` (Sec. V-B3 — if the search then fails, rerun
-    with the default upper bound or relax the constraint).
+    If the search fails under an explicit ``spec.upper`` (Sec. V-B3), rerun
+    with the default upper bound or relax the constraint.
 
     ``cache`` is an optional shared :class:`~repro.cache.EvalCache`; all
     region workers consult it, and entries probed by pool workers are
@@ -111,24 +139,25 @@ def train(
     data = np.asarray(data)
     t0 = time.perf_counter()
     default_lo, default_hi = compressor.default_bound_range(data)
-    lo = default_lo if lower is None else float(lower)
-    hi = default_hi if upper is None else float(upper)
+    lo = default_lo if spec.lower is None else float(spec.lower)
+    hi = default_hi if spec.upper is None else float(spec.upper)
     if not hi > lo:
         raise ValueError(f"invalid error-bound range [{lo}, {hi}]")
 
     # Algorithm 1 lines 1-6, once for the whole search.
     probe = None
     if prediction is not None and lo <= prediction <= hi:
-        probe = probe_task(compressor, data, target_ratio, tolerance, (lo, hi), prediction, cache)
+        probe = probe_task(compressor, data, spec.target_ratio, spec.tolerance, (lo, hi),
+                           prediction, cache)
         if probe.feasible:
-            return _result(probe, (probe,), target_ratio, tolerance, t0, keep_payload, True)
+            return _result(probe, (probe,), spec, t0, keep_payload, True)
 
     executor = executor or SerialExecutor()
     ship_delta = cache is not None and not getattr(executor, "shares_memory", True)
-    region_list = split_regions(lo, hi, regions, overlap)
+    region_list = split_regions(lo, hi, spec.regions, spec.overlap)
     payloads = [
-        (compressor, data, target_ratio, tolerance, region, max_calls_per_region, seed + i,
-         cache, ship_delta)
+        (compressor, data, dataclasses.replace(spec, seed=spec.seed + i), region, cache,
+         ship_delta)
         for i, region in enumerate(region_list)
     ]
     completed = executor.run_cancellable(
@@ -152,16 +181,15 @@ def train(
     if feasible:
         best = feasible[0]
     else:
-        best = min(workers, key=lambda w: (w.ratio - target_ratio) ** 2)
+        best = min(workers, key=lambda w: (w.ratio - spec.target_ratio) ** 2)
 
-    return _result(best, workers, target_ratio, tolerance, t0, keep_payload, False)
+    return _result(best, workers, spec, t0, keep_payload, False)
 
 
 def _result(
     best: WorkerResult,
     workers: tuple[WorkerResult, ...],
-    target_ratio: float,
-    tolerance: float,
+    spec: SearchSpec,
     t0: float,
     keep_payload: bool,
     used_prediction: bool,
@@ -170,8 +198,8 @@ def _result(
     return TrainingResult(
         error_bound=best.error_bound,
         ratio=best.ratio,
-        target_ratio=target_ratio,
-        tolerance=tolerance,
+        target_ratio=spec.target_ratio,
+        tolerance=spec.tolerance,
         feasible=best.feasible,
         evaluations=sum(w.evaluations for w in workers),
         compress_seconds=sum(w.compress_seconds for w in workers),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.evalcache import CacheEntry, EvalCache
-from repro.core.training import DEFAULT_OVERLAP, DEFAULT_REGIONS
+from repro.core.training import SearchSpec
 from repro.parallel.executor import BaseExecutor, SerialExecutor, make_executor
 from repro.pressio.compressor import Compressor
 from repro.pressio.registry import make_compressor
@@ -116,16 +116,16 @@ def stream_compress(
     compressor: Compressor | str = "sz",
     target_ratio: float | None = None,
     error_bound: float | None = None,
-    tolerance: float = 0.1,
+    tolerance: float = SearchSpec.tolerance,
     max_error_bound: float | None = None,
     chunk_shape: tuple[int, ...] | None = None,
     max_memory: int | None = None,
     workers: int = 1,
     executor: BaseExecutor | str | None = None,
     train_chunks: int = 4,
-    regions: int = DEFAULT_REGIONS,
-    overlap: float = DEFAULT_OVERLAP,
-    max_calls_per_region: int = 16,
+    regions: int = SearchSpec.regions,
+    overlap: float = SearchSpec.overlap,
+    max_calls_per_region: int = SearchSpec.max_calls_per_region,
     seed: int = 0,
     cache: EvalCache | bool = True,
     cache_dir: str | None = None,
@@ -144,11 +144,33 @@ def stream_compress(
     the pipeline's working set in bytes — chunks are sized so that
     ``workers`` concurrent compressions plus their transient buffers
     (:data:`COMPRESS_OVERHEAD_FACTOR`) fit under it; ``chunk_shape``
-    overrides the planner.
+    overrides the planner.  The search settings are checked before the
+    source is opened; a fixed-bound run never searches, so it ignores them.
     """
     if (target_ratio is None) == (error_bound is None):
         raise ValueError("pass exactly one of target_ratio or error_bound")
     comp = make_compressor(compressor) if isinstance(compressor, str) else compressor
+    if isinstance(cache, EvalCache):
+        eval_cache: EvalCache | None = cache
+    elif cache:
+        eval_cache = EvalCache(cache_dir=cache_dir)
+    else:
+        eval_cache = None
+    pool = _resolve_executor(executor, workers)
+    tuner: ChunkTuner | None = None
+    if target_ratio is not None:
+        tuner = ChunkTuner(
+            compressor=comp,
+            target_ratio=target_ratio,
+            tolerance=tolerance,
+            max_error_bound=max_error_bound,
+            regions=regions,
+            overlap=overlap,
+            max_calls_per_region=max_calls_per_region,
+            executor=pool,
+            cache=eval_cache,
+            seed=seed,
+        )
 
     max_chunk_bytes = None
     if chunk_shape is None and max_memory is not None:
@@ -164,30 +186,9 @@ def stream_compress(
     )
 
     try:
-        if isinstance(cache, EvalCache):
-            eval_cache: EvalCache | None = cache
-        elif cache:
-            eval_cache = EvalCache(cache_dir=cache_dir)
-        else:
-            eval_cache = None
-        pool = _resolve_executor(executor, workers)
-
         t0 = time.perf_counter()
         train_seconds = 0.0
-        tuner: ChunkTuner | None = None
-        if target_ratio is not None:
-            tuner = ChunkTuner(
-                compressor=comp,
-                target_ratio=target_ratio,
-                tolerance=tolerance,
-                max_error_bound=max_error_bound,
-                regions=regions,
-                overlap=overlap,
-                max_calls_per_region=max_calls_per_region,
-                executor=pool,
-                cache=eval_cache,
-                seed=seed,
-            )
+        if tuner is not None:
             n_train = max(1, min(train_chunks, reader.n_chunks))
             # Sampled prefix: blocks are read (and released) one at a time.
             tuner.fit(reader.read(spec) for spec in reader.specs[:n_train])

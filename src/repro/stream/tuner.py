@@ -18,14 +18,14 @@ compressions) are paid once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from repro.cache.evalcache import EvalCache
-from repro.core.loss import acceptance_band
-from repro.core.training import DEFAULT_OVERLAP, DEFAULT_REGIONS, train
+from repro.core.training import SearchSpec, train
 from repro.parallel.executor import BaseExecutor
 from repro.pressio.compressor import Compressor
 
@@ -41,11 +41,11 @@ class ChunkTuner:
 
     compressor: Compressor
     target_ratio: float
-    tolerance: float = 0.1
+    tolerance: float = SearchSpec.tolerance
     max_error_bound: float | None = None
-    regions: int = DEFAULT_REGIONS
-    overlap: float = DEFAULT_OVERLAP
-    max_calls_per_region: int = 16
+    regions: int = SearchSpec.regions
+    overlap: float = SearchSpec.overlap
+    max_calls_per_region: int = SearchSpec.max_calls_per_region
     executor: BaseExecutor | None = None
     cache: EvalCache | None = None
     seed: int = 0
@@ -56,16 +56,16 @@ class ChunkTuner:
     evaluations: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    #: The search each chunk runs, built (and checked) at construction.
+    spec: SearchSpec = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        acceptance_band(self.target_ratio, self.tolerance)  # validates both
-
-    @property
-    def band(self) -> tuple[float, float]:
-        return acceptance_band(self.target_ratio, self.tolerance)
+        self.spec = SearchSpec(self.target_ratio, self.tolerance, upper=self.max_error_bound,
+                               regions=self.regions, overlap=self.overlap,
+                               max_calls_per_region=self.max_calls_per_region, seed=self.seed)
 
     def in_band(self, ratio: float) -> bool:
-        lo, hi = self.band
+        lo, hi = self.spec.band
         return lo <= ratio <= hi
 
     def fit(self, chunks: Iterable[np.ndarray]) -> float:
@@ -80,15 +80,9 @@ class ChunkTuner:
             result = train(
                 self.compressor,
                 data,
-                self.target_ratio,
-                tolerance=self.tolerance,
-                upper=self.max_error_bound,
-                regions=self.regions,
-                overlap=self.overlap,
-                max_calls_per_region=self.max_calls_per_region,
+                dataclasses.replace(self.spec, seed=self.spec.seed + self.retrain_count),
                 prediction=self.current_bound,
                 executor=self.executor,
-                seed=self.seed + self.retrain_count,
                 cache=self.cache,
             )
             self.retrain_count += not result.used_prediction

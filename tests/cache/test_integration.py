@@ -11,7 +11,7 @@ from repro.cache import EvalCache
 from repro.core.baselines import binary_search_ratio, grid_search_ratio
 from repro.core.fields import tune_fields, tune_time_series
 from repro.core.quality import tune_quality
-from repro.core.training import train
+from repro.core.training import SearchSpec, train
 from repro.core.worker import worker_task
 from repro.parallel.executor import ProcessExecutor, ThreadExecutor
 from repro.pressio.closures import RatioFunction
@@ -60,16 +60,17 @@ class TestRatioFunction:
 
 class TestTrainingIntegration:
     def test_results_unchanged_by_cache(self, field):
-        plain = train(SZCompressor(), field, 8.0, regions=4, seed=0)
-        cached = train(SZCompressor(), field, 8.0, regions=4, seed=0, cache=EvalCache())
+        plain = train(SZCompressor(), field, SearchSpec(8.0, regions=4, seed=0))
+        cached = train(SZCompressor(), field, SearchSpec(8.0, regions=4, seed=0),
+                       cache=EvalCache())
         assert cached.error_bound == plain.error_bound
         assert cached.ratio == plain.ratio
         assert cached.evaluations == plain.evaluations
 
     def test_rerun_fully_cached(self, field):
         cache = EvalCache()
-        train(SZCompressor(), field, 8.0, regions=4, seed=0, cache=cache)
-        again = train(SZCompressor(), field, 8.0, regions=4, seed=0, cache=cache)
+        train(SZCompressor(), field, SearchSpec(8.0, regions=4, seed=0), cache=cache)
+        again = train(SZCompressor(), field, SearchSpec(8.0, regions=4, seed=0), cache=cache)
         assert again.cache_hits == again.evaluations
         assert again.compressor_calls == 0
 
@@ -82,12 +83,12 @@ class TestTrainingIntegration:
     @pytest.mark.parametrize("executor_cls", [ThreadExecutor, ProcessExecutor])
     def test_pool_executors_merge_into_parent_cache(self, field, executor_cls):
         cache = EvalCache()
-        res = train(SZCompressor(), field, 8.0, regions=4, seed=0,
+        res = train(SZCompressor(), field, SearchSpec(8.0, regions=4, seed=0),
                     executor=executor_cls(2), cache=cache)
         # Every probe any worker paid for is now in the parent cache...
         assert len(cache) > 0
         # ...so an identical serial rerun is free.
-        again = train(SZCompressor(), field, 8.0, regions=4, seed=0, cache=cache)
+        again = train(SZCompressor(), field, SearchSpec(8.0, regions=4, seed=0), cache=cache)
         assert again.compressor_calls == 0
         assert again.error_bound == res.error_bound
 
@@ -101,11 +102,11 @@ class TestTrainingIntegration:
         """
         target = 1e6
         serial_cache = EvalCache()
-        train(SZCompressor(), field, target, regions=4, max_calls_per_region=5,
-              seed=0, cache=serial_cache)
+        train(SZCompressor(), field, SearchSpec(target, regions=4, max_calls_per_region=5, seed=0),
+              cache=serial_cache)
         pool_cache = EvalCache()
-        train(SZCompressor(), field, target, regions=4, max_calls_per_region=5,
-              seed=0, executor=ProcessExecutor(2), cache=pool_cache)
+        train(SZCompressor(), field, SearchSpec(target, regions=4, max_calls_per_region=5, seed=0),
+              executor=ProcessExecutor(2), cache=pool_cache)
         serial_keys = sorted(serial_cache.new_entries())
         pool_keys = sorted(pool_cache.new_entries())
         assert serial_keys == pool_keys
@@ -117,14 +118,14 @@ class TestTimeSeriesAndFields:
     def test_repeated_steps_are_free(self, series):
         """Steps 0 and 2 are identical data: the cache collapses them."""
         cache = EvalCache()
-        res = tune_time_series(SZCompressor(), series, 8.0, regions=4, seed=0,
+        res = tune_time_series(SZCompressor(), series, SearchSpec(8.0, regions=4, seed=0),
                                cache=cache, reuse_prediction=False)
         assert res.steps[2].compressor_calls < res.steps[0].compressor_calls
 
     def test_tune_fields_shares_cache_across_fields(self, field, series):
         fields = {"a": series, "b": series}  # same data registered twice
         cache = EvalCache()
-        res = tune_fields(SZCompressor(), fields, 8.0, regions=4, seed=0, cache=cache)
+        res = tune_fields(SZCompressor(), fields, SearchSpec(8.0, regions=4, seed=0), cache=cache)
         # Field b repeats field a's probes (same data, same seeds offset
         # changes the optimizer path, but seed probes coincide).
         assert res.total_cache_hits > 0
@@ -132,10 +133,11 @@ class TestTimeSeriesAndFields:
     def test_tune_fields_process_pool_merges(self, series):
         fields = {"a": series[:2], "b": series[:2]}
         cache = EvalCache()
-        tune_fields(SZCompressor(), fields, 8.0, regions=4, seed=0,
+        tune_fields(SZCompressor(), fields, SearchSpec(8.0, regions=4, seed=0),
                     executor=ProcessExecutor(2), cache=cache)
         assert len(cache) > 0
-        rerun = tune_fields(SZCompressor(), fields, 8.0, regions=4, seed=0, cache=cache)
+        rerun = tune_fields(SZCompressor(), fields, SearchSpec(8.0, regions=4, seed=0),
+                            cache=cache)
         assert rerun.total_compressor_calls == 0
 
 

@@ -88,10 +88,10 @@ class TestFeasibleRange:
 
     def test_predicts_fig7_infeasibility(self, smooth2d):
         """Targets outside the range are exactly the slow Fig. 7 cases."""
-        from repro.core.training import train
+        from repro.core.training import SearchSpec, train
 
         lo, hi = feasible_ratio_range(SZCompressor(), smooth2d)
         below = max(lo * 0.3, 0.1)
-        res = train(SZCompressor(), smooth2d, below, tolerance=0.05,
-                    regions=3, max_calls_per_region=4, seed=0)
+        res = train(SZCompressor(), smooth2d,
+                    SearchSpec(below, tolerance=0.05, regions=3, max_calls_per_region=4, seed=0))
         assert not res.feasible

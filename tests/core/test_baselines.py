@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.baselines import binary_search_ratio, grid_search_ratio
-from repro.core.training import train
+from repro.core.training import SearchSpec, train
 from repro.sz.compressor import SZCompressor
 
 
@@ -41,8 +41,9 @@ class TestBinarySearch:
         target, tol = 14.0, 0.05  # band [13.3, 14.7]; only e in [0.2, 0.4) hits
         binary = binary_search_ratio(stair, data, target, tolerance=tol,
                                      lower=1e-6, upper=1.0, max_calls=40)
-        fraz = train(stair, data, target, tolerance=tol, lower=1e-6, upper=1.0,
-                     regions=4, max_calls_per_region=16, seed=0)
+        fraz = train(stair, data,
+                     SearchSpec(target, tolerance=tol, lower=1e-6, upper=1.0, regions=4,
+                                max_calls_per_region=16, seed=0))
         assert fraz.feasible
         assert not binary.feasible
 
@@ -79,6 +80,6 @@ class TestGridSearch:
         assert res.evaluations <= 32
 
     def test_more_expensive_than_fraz(self, field):
-        fraz = train(SZCompressor(), field, 10.0, tolerance=0.1, seed=0)
+        fraz = train(SZCompressor(), field, SearchSpec(10.0, tolerance=0.1, seed=0))
         grid = grid_search_ratio(SZCompressor(), field, 10.0, tolerance=0.1, points=64)
         assert fraz.evaluations < grid.evaluations or grid.feasible

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import FRaZ, tune_fields, tune_time_series
+from repro.core import FRaZ, SearchSpec, tune_fields, tune_time_series
 from repro.sz.compressor import SZCompressor
 
 
@@ -28,11 +28,11 @@ def series():
 
 class TestTimeSeries:
     def test_all_steps_converge(self, series):
-        res = tune_time_series(SZCompressor(), series, 10.0, tolerance=0.1, seed=0)
+        res = tune_time_series(SZCompressor(), series, SearchSpec(10.0, tolerance=0.1, seed=0))
         assert res.converged_fraction == 1.0
 
     def test_reuse_skips_training(self, series):
-        res = tune_time_series(SZCompressor(), series, 10.0, tolerance=0.1, seed=0)
+        res = tune_time_series(SZCompressor(), series, SearchSpec(10.0, tolerance=0.1, seed=0))
         # Slowly drifting data: only the first step should retrain.
         assert res.retrain_steps[0] == 0
         assert len(res.retrain_steps) <= 2
@@ -41,33 +41,35 @@ class TestTimeSeries:
 
     def test_reuse_disabled_retrains_everywhere(self, series):
         res = tune_time_series(
-            SZCompressor(), series, 10.0, tolerance=0.1, seed=0, reuse_prediction=False
+            SZCompressor(), series, SearchSpec(10.0, tolerance=0.1, seed=0),
+            reuse_prediction=False,
         )
         assert res.retrain_steps == list(range(len(series)))
 
     def test_reuse_cheaper_than_retraining(self, series):
-        with_reuse = tune_time_series(SZCompressor(), series, 10.0, seed=0)
+        with_reuse = tune_time_series(SZCompressor(), series, SearchSpec(10.0, seed=0))
         without = tune_time_series(
-            SZCompressor(), series, 10.0, seed=0, reuse_prediction=False
+            SZCompressor(), series, SearchSpec(10.0, seed=0), reuse_prediction=False,
         )
         assert with_reuse.total_evaluations < without.total_evaluations
 
     def test_field_name_recorded(self, series):
-        res = tune_time_series(SZCompressor(), series, 10.0, field_name="CLOUD", seed=0)
+        res = tune_time_series(SZCompressor(), series, SearchSpec(10.0, seed=0),
+                               field_name="CLOUD")
         assert res.field_name == "CLOUD"
 
 
 class TestTuneFields:
     def test_two_fields(self, series):
         fields = {"A": series[:3], "B": [s * 2 for s in series[:3]]}
-        res = tune_fields(SZCompressor(), fields, 10.0, tolerance=0.1, seed=0)
+        res = tune_fields(SZCompressor(), fields, SearchSpec(10.0, tolerance=0.1, seed=0))
         assert set(res.fields) == {"A", "B"}
         for f in res.fields.values():
             assert f.converged_fraction == 1.0
 
     def test_longest_field_seconds(self, series):
         fields = {"A": series[:2]}
-        res = tune_fields(SZCompressor(), fields, 10.0, seed=0)
+        res = tune_fields(SZCompressor(), fields, SearchSpec(10.0, seed=0))
         assert res.longest_field_seconds > 0
         assert res.total_wall_seconds >= res.longest_field_seconds
 

@@ -132,17 +132,17 @@ class TestMGARDL2Mode:
 
 class TestFRaZWithNewModes:
     def test_fraz_drives_rel_mode(self, smooth2d):
-        from repro.core.training import train
+        from repro.core.training import SearchSpec, train
 
         c = SZCompressor(bound_mode="rel")
-        res = train(c, smooth2d, 8.0, tolerance=0.15, regions=4, seed=0)
+        res = train(c, smooth2d, SearchSpec(8.0, tolerance=0.15, regions=4, seed=0))
         assert res.feasible
         assert res.error_bound <= 1.0  # rel bounds live in (0, 1]
 
     def test_fraz_drives_precision_mode(self, smooth3d):
-        from repro.core.training import train
+        from repro.core.training import SearchSpec, train
 
         c = ZFPPrecisionCompressor()
-        res = train(c, smooth3d, 4.0, tolerance=0.25, regions=3,
-                    max_calls_per_region=10, seed=0)
+        res = train(c, smooth3d,
+                    SearchSpec(4.0, tolerance=0.25, regions=3, max_calls_per_region=10, seed=0))
         assert res.ratio > 1.0

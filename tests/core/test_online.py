@@ -110,4 +110,4 @@ class TestOnlineFRaZ:
 
     def test_band_property(self):
         tuner = OnlineFRaZ(target_ratio=20.0, tolerance=0.05)
-        assert tuner.band == (19.0, 21.0)
+        assert tuner.spec.band == (19.0, 21.0)

@@ -16,7 +16,7 @@ from repro.cache import EvalCache
 from repro.cache.keys import normalize_bound
 from repro.core import FRaZ
 from repro.core.online import OnlineFRaZ
-from repro.core.training import train
+from repro.core.training import SearchSpec, train
 from repro.datasets import fourier_field
 from repro.pressio import available_compressors, make_compressor
 from repro.sz.compressor import SZCompressor
@@ -112,8 +112,8 @@ class TestNoSecondCompress:
 
 def test_payload_only_leaves_train_on_request(field):
     sz = SZCompressor()
-    assert train(sz, field, TARGET, tolerance=TOLERANCE).payload is None
-    kept = train(sz, field, TARGET, tolerance=TOLERANCE, keep_payload=True)
+    assert train(sz, field, SearchSpec(TARGET, tolerance=TOLERANCE)).payload is None
+    kept = train(sz, field, SearchSpec(TARGET, tolerance=TOLERANCE), keep_payload=True)
     assert kept.payload == sz.with_error_bound(kept.error_bound).compress(field)
     assert all(w.payload is None for w in kept.workers)
 

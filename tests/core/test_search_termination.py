@@ -41,7 +41,7 @@ import pytest
 from repro.core import FRaZ
 from repro.core.loss import acceptance_band
 from repro.core.regions import split_regions
-from repro.core.training import train
+from repro.core.training import SearchSpec, train
 from repro.core.worker import worker_task
 from repro.datasets import fourier_field
 from repro.pressio.compressor import CompressedField, Compressor
@@ -175,9 +175,9 @@ def test_target_off_the_curve_costs_a_region_three_probes(curve, side):
 @pytest.mark.parametrize("curve,target", [(c, t) for c, ts in REACHED for t in ts])
 def test_whole_search_agrees_with_the_search_without_exclusion(curve, target, monkeypatch):
     comp = CurveCompressor(curve)
-    stopped = train(comp, DATA, target, tolerance=TOLERANCE)
+    stopped = train(comp, DATA, SearchSpec(target, tolerance=TOLERANCE))
     monkeypatch.setattr("repro.optimize.global_search.excludes", lambda *a: False)
-    full = train(comp, DATA, target, tolerance=TOLERANCE)
+    full = train(comp, DATA, SearchSpec(target, tolerance=TOLERANCE))
     assert stopped.feasible == full.feasible
     assert stopped.evaluations <= full.evaluations
     if full.feasible and curve in MONOTONE:

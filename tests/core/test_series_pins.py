@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cache.evalcache import EvalCache
-from repro.core import FRaZ, tune_fields, tune_time_series
+from repro.core import FRaZ, SearchSpec, tune_fields, tune_time_series
 from repro.parallel.executor import ProcessExecutor, SerialExecutor
 from repro.pressio.registry import make_compressor
 
@@ -105,7 +105,8 @@ _DATASET = {"sz": {"a": ([(0.0173784060829, 10.666666666666666, 7),
 
 @pytest.mark.parametrize("name", sorted(_SERIES))
 def test_time_series_pinned(name):
-    res = tune_time_series(make_compressor(name), _drifting(), 10.0, tolerance=0.1, seed=3)
+    res = tune_time_series(make_compressor(name), _drifting(),
+                           SearchSpec(10.0, tolerance=0.1, seed=3))
     assert _summary(res) == _SERIES[name]
 
 
@@ -113,7 +114,7 @@ def test_time_series_pinned(name):
                          ids=["serial", "process"])
 @pytest.mark.parametrize("name", sorted(_FIELDS))
 def test_fields_pinned(name, executor):
-    res = tune_fields(make_compressor(name), _FIELD_DATA, 10.0, seed=3,
+    res = tune_fields(make_compressor(name), _FIELD_DATA, SearchSpec(10.0, seed=3),
                       executor=executor(), cache=EvalCache())
     assert {k: _summary(v) for k, v in res.fields.items()} == _FIELDS[name]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cache.keys import normalize_bound
-from repro.core.training import train
+from repro.core.training import SearchSpec, train
 from repro.core.worker import worker_task
 from repro.obs.trace import Tracer
 from repro.parallel.executor import SerialExecutor, ThreadExecutor
@@ -75,18 +75,18 @@ class TestWorkerTask:
 
 class TestTraining:
     def test_feasible_search(self, sz, field):
-        res = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0)
+        res = train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0))
         assert res.feasible and res.within_tolerance
 
     def test_result_reproducible(self, sz, field):
-        res = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0)
+        res = train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0))
         ratio = sz.with_error_bound(res.error_bound).compress(field).ratio
         assert ratio == pytest.approx(res.ratio)
 
     def test_infeasible_reports_closest(self, sz, field):
         # Every error bound yields CR >= ~1.06, so 0.5 is unreachable.
-        res = train(sz, field, 0.5, tolerance=0.05, regions=3,
-                    max_calls_per_region=6, seed=0)
+        res = train(sz, field,
+                    SearchSpec(0.5, tolerance=0.05, regions=3, max_calls_per_region=6, seed=0))
         assert not res.feasible
         # The reported point is the closest the search observed.
         assert res.ratio == min(
@@ -95,22 +95,22 @@ class TestTraining:
         )
 
     def test_early_cancellation_limits_work(self, sz, field):
-        res = train(sz, field, 10.0, tolerance=0.1, regions=8,
-                    max_calls_per_region=16, seed=0)
+        res = train(sz, field,
+                    SearchSpec(10.0, tolerance=0.1, regions=8, max_calls_per_region=16, seed=0))
         # Serial executor stops at the first feasible region: far fewer
         # evaluations than the full 8 * 16 worst case.
         assert res.evaluations < 8 * 16 / 2
 
     def test_prediction_fast_path(self, sz, field):
-        first = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0)
-        res = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0,
+        first = train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0))
+        res = train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0),
                     prediction=first.error_bound)
         assert res.used_prediction
         assert res.evaluations == 1
 
     def test_prediction_short_circuit(self, sz, field):
-        first = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0)
-        res = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0,
+        first = train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0))
+        res = train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0),
                     prediction=first.error_bound)
         assert res.used_prediction and res.feasible
         # One probe, reported as the only worker: no region ever started.
@@ -122,17 +122,18 @@ class TestTraining:
         # The closure normalises bounds to 12 digits: a prediction that is
         # not 12-digit clean is probed at its normalised value, and that is
         # the bound the reported ratio belongs to.
-        first = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0)
+        first = train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0))
         noisy = first.error_bound * (1.0 + 3e-14)
         assert normalize_bound(noisy) != noisy
-        res = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0, prediction=noisy)
+        res = train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0),
+                    prediction=noisy)
         assert res.used_prediction
         assert res.error_bound == normalize_bound(noisy)
         assert sz.with_error_bound(res.error_bound).compress(field).ratio == res.ratio
 
     def test_bad_prediction_falls_through(self, sz, field):
         _, hi = sz.default_bound_range(field)
-        res = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0, prediction=hi)
+        res = train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0), prediction=hi)
         assert not res.used_prediction
         # The miss cost one probe; the regions then searched and found the band.
         assert res.workers[0].evaluations == 1
@@ -144,7 +145,7 @@ class TestTraining:
         # up in the totals: its evaluations, compress seconds and cache
         # traffic were paid, and it joins the workers tuple.
         lo, hi = sz.default_bound_range(field)
-        res = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0,
+        res = train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0),
                     prediction=hi)  # hi is a terrible prediction
         assert not res.used_prediction
         probe = res.workers[0]
@@ -158,10 +159,10 @@ class TestTraining:
         from repro.cache.evalcache import EvalCache
 
         cache = EvalCache()
-        train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0, cache=cache)
+        train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0), cache=cache)
         _, hi = sz.default_bound_range(field)
-        res = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0,
-                    cache=cache, prediction=hi)
+        res = train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0), cache=cache,
+                    prediction=hi)
         # The probe's hit/miss totals are inside the result's, so
         # compressor_calls == evaluations - cache_hits stays honest.
         assert res.cache_hits == sum(w.cache_hits for w in res.workers)
@@ -171,19 +172,20 @@ class TestTraining:
 
     def test_respects_upper_bound_cap(self, sz, field):
         # A tiny U makes high ratios unreachable.
-        res = train(sz, field, 50.0, tolerance=0.1, upper=1e-6,
-                    regions=3, max_calls_per_region=5, seed=0)
+        res = train(sz, field,
+                    SearchSpec(50.0, tolerance=0.1, upper=1e-6, regions=3, max_calls_per_region=5,
+                               seed=0))
         for w in res.workers:
             assert w.region[1] <= 1e-6
 
     def test_thread_executor_equivalent_feasibility(self, sz, field):
-        serial = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0,
+        serial = train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0),
                        executor=SerialExecutor())
-        threaded = train(sz, field, 10.0, tolerance=0.1, regions=4, seed=0,
+        threaded = train(sz, field, SearchSpec(10.0, tolerance=0.1, regions=4, seed=0),
                          executor=ThreadExecutor(workers=4))
         assert serial.feasible and threaded.feasible
         assert threaded.within_tolerance
 
     def test_invalid_range(self, sz, field):
         with pytest.raises(ValueError):
-            train(sz, field, 10.0, lower=1.0, upper=0.5)
+            train(sz, field, SearchSpec(10.0, lower=1.0, upper=0.5))

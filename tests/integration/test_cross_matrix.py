@@ -68,11 +68,11 @@ class TestEvaluateMatrix:
 class TestFRaZMatrix:
     @pytest.mark.parametrize("backend", _ABS_BACKENDS)
     def test_fraz_reaches_modest_target(self, field_bank, backend):
-        from repro.core.training import train
+        from repro.core.training import SearchSpec, train
 
         data = field_bank[("Hurricane", "TCf")]
         comp = make_compressor(backend)
-        res = train(comp, data, 5.0, tolerance=0.2, regions=4,
-                    max_calls_per_region=10, seed=0)
+        res = train(comp, data,
+                    SearchSpec(5.0, tolerance=0.2, regions=4, max_calls_per_region=10, seed=0))
         # Modest target: every backend should land in or near the band.
         assert res.ratio == pytest.approx(5.0, rel=0.5)

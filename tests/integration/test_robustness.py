@@ -15,7 +15,7 @@ import pytest
 from repro.codecs.container import Container
 from repro.codecs.lz77 import LZ77Codec
 from repro.codecs.varint import decode_uvarints
-from repro.core.training import train
+from repro.core.training import SearchSpec, train
 from repro.errors import CorruptPayloadError
 from repro.mgard.compressor import MGARDCompressor
 from repro.pressio import make_compressor
@@ -248,8 +248,8 @@ class TestDeterminism:
         assert a.payload == b.payload
 
     def test_training_deterministic_given_seed(self, field):
-        r1 = train(SZCompressor(), field, 8.0, tolerance=0.1, regions=4, seed=7)
-        r2 = train(SZCompressor(), field, 8.0, tolerance=0.1, regions=4, seed=7)
+        r1 = train(SZCompressor(), field, SearchSpec(8.0, tolerance=0.1, regions=4, seed=7))
+        r2 = train(SZCompressor(), field, SearchSpec(8.0, tolerance=0.1, regions=4, seed=7))
         assert r1.error_bound == r2.error_bound
         assert r1.ratio == r2.ratio
         assert r1.evaluations == r2.evaluations

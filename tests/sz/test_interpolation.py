@@ -127,10 +127,10 @@ class TestBehaviour:
         assert c.describe() == "sz-interp:abs"
 
     def test_fraz_drives_interp(self, smooth3d):
-        from repro.core.training import train
+        from repro.core.training import SearchSpec, train
 
-        res = train(SZInterpolationCompressor(), smooth3d, 10.0,
-                    tolerance=0.1, regions=4, seed=0)
+        res = train(SZInterpolationCompressor(), smooth3d,
+                    SearchSpec(10.0, tolerance=0.1, regions=4, seed=0))
         assert res.feasible
 
     def test_validation(self, smooth2d):

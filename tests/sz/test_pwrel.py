@@ -83,12 +83,12 @@ class TestPointwiseRelBound:
             SZPointwiseRelative(error_bound=0).compress(smooth2d)
 
     def test_fraz_drives_pwrel(self):
-        from repro.core.training import train
+        from repro.core.training import SearchSpec, train
 
         r = np.random.default_rng(3)
         data = (10.0 ** r.uniform(-3, 3, 8000)).astype(np.float32)
-        res = train(SZPointwiseRelative(), data, 4.0, tolerance=0.2,
-                    regions=4, max_calls_per_region=10, seed=0)
+        res = train(SZPointwiseRelative(), data,
+                    SearchSpec(4.0, tolerance=0.2, regions=4, max_calls_per_region=10, seed=0))
         assert res.ratio > 1.0
         assert res.error_bound <= 0.5  # rel bounds live in (0, 0.5]
 
